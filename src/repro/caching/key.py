@@ -14,10 +14,14 @@ probing composite, so a hit needs no residual predicate checks.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.errors import PlanError
-from repro.relations.predicates import EquiPredicate, JoinGraph
+from repro.relations.predicates import (
+    EquiPredicate,
+    JoinGraph,
+    independent_checks,
+)
 from repro.streams.tuples import CompositeTuple
 
 
@@ -54,20 +58,19 @@ class CacheKey:
             )
         # Canonical component order: sorted by segment-side slot, so two
         # shared caches (Definition 4.1) in different pipelines build
-        # identical entry keys and can back one physical store. Duplicate
-        # segment slots are dropped: the transitive closure can equate one
-        # segment attribute to several prefix attributes, but those prefix
-        # attributes are already equal in any composite that reaches the
-        # lookup (every closure predicate is enforced upstream), so one
-        # component carries the full constraint.
+        # identical entry keys and can back one physical store. The
+        # transitive closure can equate one segment attribute to several
+        # prefix attributes; components that the composite invariant makes
+        # redundant are dropped (see ``independent_checks``).
         resolved.sort(key=lambda item: item[0])
         deduped = []
-        seen_slots = set()
-        for item in resolved:
-            if item[0] in seen_slots:
-                continue
-            seen_slots.add(item[0])
-            deduped.append(item)
+        seen = set()
+        for item, check in zip(
+            resolved, independent_checks([item[:2] for item in resolved])
+        ):
+            if check not in seen:
+                seen.add(check)
+                deduped.append(item)
         self._segment_slots = tuple(item[0] for item in deduped)
         self._prefix_slots = tuple(item[1] for item in deduped)
         self.predicates: Tuple[EquiPredicate, ...] = tuple(
@@ -76,15 +79,11 @@ class CacheKey:
 
     def probe_value(self, composite: CompositeTuple) -> tuple:
         """Key extracted from a prefix-side composite (a probing tuple)."""
-        return tuple(
-            composite.value(rel, pos) for rel, pos in self._prefix_slots
-        )
+        return composite.values_at(self._prefix_slots)
 
     def entry_key(self, composite: CompositeTuple) -> tuple:
         """Key extracted from a segment-side composite (a cached value)."""
-        return tuple(
-            composite.value(rel, pos) for rel, pos in self._segment_slots
-        )
+        return composite.values_at(self._segment_slots)
 
     @property
     def prefix_slots(self) -> Tuple[Tuple[str, int], ...]:

@@ -21,7 +21,14 @@ from repro.operators.join_op import JoinOperator
 from repro.operators.pipeline import Pipeline, ProfileSample
 from repro.relations.predicates import JoinGraph
 from repro.relations.relation import Relation
-from repro.streams.events import DeltaBatch, OutputDelta, Sign, Update, batched
+from repro.streams.events import (
+    DeltaBatch,
+    OutputDelta,
+    Sign,
+    Update,
+    batched,
+    output_deltas,
+)
 from repro.streams.tuples import CompositeTuple
 
 # (relation, global seq) -> profile this update? The seq enables the
@@ -160,66 +167,70 @@ class MJoinExecutor:
         every interested query's pipelines first and applies the shared
         window change exactly once afterwards.
         """
-        if self.resilience is not None and not self.resilience.admit(update):
+        resilience = self.resilience
+        if resilience is not None and not resilience.admit(update):
             return []
-        obs = self.ctx.obs
+        ctx = self.ctx
+        clock = ctx.clock
+        obs = ctx.obs
+        observed = obs.enabled
         prof = obs.profiler
-        started_us = self.ctx.clock.now_us if obs.enabled else 0.0
-        if prof.enabled:
-            prof.begin(
-                "update:" + update.relation, self.ctx.clock.now_us
-            )
+        spans = prof.enabled
+        relation, sign = update.relation, update.sign
+        started_us = clock.now_us if observed else 0.0
+        if spans:
+            prof.begin("update:" + relation, clock.now_us)
         try:
-            pipeline = self.pipelines[update.relation]
-            profile = False
-            if self.profile_gate is not None:
-                profile = self.profile_gate(update.relation, update.seq)
-            memo = self.ctx.probe_memo
+            profile = (
+                self.profile_gate is not None
+                and self.profile_gate(relation, update.seq)
+            )
+            memo = ctx.probe_memo
             if profile and memo is not None:
                 # Profiled tuples measure the true cache-free operator
                 # costs (Appendix A); the batch memo must not shortcut
                 # them.
-                self.ctx.probe_memo = None
+                ctx.probe_memo = None
             try:
-                composites, sample = pipeline.process(
-                    update.row, update.sign, self.ctx, profile=profile
+                composites, sample = self.pipelines[relation].process(
+                    update.row, sign, ctx, profile=profile
                 )
             finally:
                 if profile and memo is not None:
-                    self.ctx.probe_memo = memo
+                    ctx.probe_memo = memo
             if sample is not None and self.sample_sink is not None:
-                self.ctx.metrics.profiled_tuples += 1
-                self.sample_sink(update.relation, sample)
+                ctx.metrics.profiled_tuples += 1
+                self.sample_sink(relation, sample)
             self._apply_window_update(update, apply=apply_window)
             if memo is not None:
                 # The window just changed: every memoized probe of this
                 # relation is now stale.
-                memo.invalidate(update.relation)
-            cm = self.ctx.cost_model
-            self.ctx.clock.charge(cm.output_emit * len(composites))
-            self.ctx.metrics.updates_processed += 1
-            self.ctx.metrics.outputs_emitted += len(composites)
+                memo.invalidate(relation)
+            clock.charge(ctx.cost_model.output_emit * len(composites))
+            metrics = ctx.metrics
+            metrics.updates_processed += 1
+            metrics.outputs_emitted += len(composites)
         finally:
             # The span must close even when the pipeline raises (a poison
             # update must not leave the profiler stack unbalanced).
-            if prof.enabled:
-                prof.end(self.ctx.clock.now_us)
-        if obs.enabled:
-            now_us = self.ctx.clock.now_us
+            if spans:
+                prof.end(clock.now_us)
+        if observed:
+            now_us = clock.now_us
             obs.registry.histogram(
-                "repro_pipeline_update_us", {"pipeline": update.relation}
+                "repro_pipeline_update_us", {"pipeline": relation}
             ).observe(now_us - started_us)
             obs.tracer.emit(
                 "update_processed",
                 now_us,
-                pipeline=update.relation,
-                sign=update.sign.name,
+                pipeline=relation,
+                sign=sign.name,
                 outputs=len(composites),
                 profiled=profile,
             )
-        if self.resilience is not None:
-            self.resilience.after_update()
-        return [OutputDelta(c, update.sign) for c in composites]
+        if resilience is not None:
+            resilience.after_update()
+        return output_deltas(composites, sign)
 
     def process_batch(self, batch: DeltaBatch) -> List[List[OutputDelta]]:
         """Process one micro-batch; returns per-update delta lists.
@@ -264,13 +275,8 @@ class MJoinExecutor:
     def _apply_window_update(self, update: Update, apply: bool = True) -> None:
         relation = self.relations[update.relation]
         cm = self.ctx.cost_model
-        index_count = sum(
-            1
-            for attr in relation.schema.attributes
-            if relation.has_index(attr)
-        )
         self.ctx.clock.charge(
-            cm.relation_update + cm.index_update * index_count
+            cm.relation_update + cm.index_update * relation.index_count
         )
         if not apply:
             return

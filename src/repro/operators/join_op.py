@@ -6,17 +6,22 @@ already present in the composite. It uses a hash index on the target side
 of one such predicate when available and verifies the rest as residuals;
 with no usable index it degrades to a nested-loop scan, which is the
 configuration Figure 10 studies.
+
+What is constant between two changes of the target's index set — which
+index to probe, where the probe value comes from, which residuals can
+still reject a row — is resolved once into a :class:`ProbePlan`, not per
+composite (DESIGN.md, "Hot path: what is resolved when").
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import PlanError
 from repro.operators.base import ExecContext
-from repro.relations.predicates import EquiPredicate, JoinGraph
+from repro.relations.predicates import JoinGraph, independent_checks
 from repro.relations.relation import Relation
-from repro.streams.tuples import CompositeTuple
+from repro.streams.tuples import CompositeTuple, Row
 
 
 class _BoundPredicate(NamedTuple):
@@ -28,8 +33,39 @@ class _BoundPredicate(NamedTuple):
     target_position: int
 
 
+class ProbePlan(NamedTuple):
+    """How one operator finds its matches; plain data, so it pickles.
+
+    ``charged`` is the number of predicates the cost model bills per
+    examined row — every bound predicate the index does not serve — while
+    ``residuals`` are the ``(target_position, prior_relation,
+    prior_position)`` checks that are actually evaluated: the ones the
+    composite invariant (see :class:`JoinOperator`) does not already imply.
+    """
+
+    epoch: int                      # Relation.index_epoch this was resolved at
+    index_attribute: Optional[str]  # None: nested-loop scan
+    probe_relation: Optional[str]   # where the index probe value comes from
+    probe_position: Optional[int]
+    charged: int
+    residuals: Tuple[Tuple[int, str, int], ...]
+
+
 class JoinOperator:
-    """Joins composites with ``target`` using predicates to prior relations."""
+    """Joins composites with ``target`` using predicates to prior relations.
+
+    **Composite invariant.** A composite that reaches an operator satisfies
+    every closure predicate of the join graph among the relations it binds:
+    each upstream operator enforced all predicates between its target and
+    its prefix, and cache hits splice in segment composites whose key
+    carries the crossing predicates. The transitive closure hands the
+    operator one predicate per prior attribute of an equivalence class, all
+    on the same attribute of the target; when those prior attributes belong
+    to two or more relations the invariant makes their values equal, so one
+    check per target attribute decides them all. Which checks that leaves
+    is :func:`~repro.relations.predicates.independent_checks`, the rule
+    ``CacheKey`` dedupes its components by as well.
+    """
 
     def __init__(
         self,
@@ -54,6 +90,7 @@ class JoinOperator:
                 )
             )
         self.relation = relation
+        self._plan: Optional[ProbePlan] = None
 
     def bind(self, relation: Relation) -> "JoinOperator":
         """Attach the live relation state this operator joins against."""
@@ -63,6 +100,7 @@ class JoinOperator:
                 f"{relation.schema.relation!r}"
             )
         self.relation = relation
+        self._plan = None
         return self
 
     @property
@@ -73,6 +111,16 @@ class JoinOperator:
     def is_cross_product(self) -> bool:
         """True when no predicate links the target to the prefix."""
         return not self._bound
+
+    def probe_plan(self) -> ProbePlan:
+        """The plan for the target's current index set (resolved lazily)."""
+        relation = self.relation
+        if relation is None:
+            raise PlanError(f"operator for {self.target!r} is unbound")
+        plan = self._plan
+        if plan is None or plan.epoch != relation.index_epoch:
+            plan = self._plan = self._resolve_plan(relation)
+        return plan
 
     def apply(
         self, composites: Sequence[CompositeTuple], ctx: ExecContext
@@ -87,108 +135,98 @@ class JoinOperator:
         exact; reuse charges ``batch_memo_hit`` instead of the probe and
         residual-verification costs.
         """
-        if self.relation is None:
-            raise PlanError(f"operator for {self.target!r} is unbound")
-        relation = self.relation
+        plan = self.probe_plan()
         clock, cm = ctx.clock, ctx.cost_model
         memo = ctx.probe_memo
-        index_pred = self._pick_index_predicate(relation)
+        target = self.target
         outputs: List[CompositeTuple] = []
         for composite in composites:
-            matches = None
-            signature = None
-            if memo is not None:
-                signature = tuple(sorted(
-                    (
-                        b.target_position,
-                        composite.value(b.prior_relation, b.prior_position),
-                    )
+            if memo is None:
+                matches = self._matches(composite, plan, ctx)
+            else:
+                value = composite.value
+                signature = tuple(sorted([
+                    (b.target_position,
+                     value(b.prior_relation, b.prior_position))
                     for b in self._bound
-                ))
-                matches = memo.get(self.target, signature)
+                ]))
+                matches = memo.get(target, signature)
                 if matches is not None:
                     clock.charge(cm.batch_memo_hit)
-            if matches is None:
-                if index_pred is not None:
-                    matches = self._indexed_matches(composite, index_pred, ctx)
                 else:
-                    matches = self._scan_matches(composite, ctx)
-                if memo is not None:
-                    memo.put(self.target, signature, matches)
+                    matches = self._matches(composite, plan, ctx)
+                    memo.put(target, signature, matches)
             clock.charge(cm.per_match * len(matches))
-            for row in matches:
-                outputs.append(composite.extended(self.target, row))
+            outputs += composite.extended_each(target, matches)
         return outputs
 
     def match_rows(
         self, composite: CompositeTuple, ctx: ExecContext
-    ) -> List:
+    ) -> List[Row]:
         """Rows of the target joining ``composite`` (no extension).
 
         Used by witness counting for globally-consistent caches.
         """
-        index_pred = self._pick_index_predicate(self.relation)
-        if index_pred is not None:
-            return self._indexed_matches(composite, index_pred, ctx)
-        return self._scan_matches(composite, ctx)
+        return self._matches(composite, self.probe_plan(), ctx)
 
     # ------------------------------------------------------------------
-    # matching strategies
+    # matching
     # ------------------------------------------------------------------
-    def _pick_index_predicate(
-        self, relation: Relation
-    ) -> Optional[_BoundPredicate]:
-        for bound in self._bound:
-            if relation.has_index(bound.target_attribute):
-                return bound
-        return None
-
-    def _indexed_matches(
-        self,
-        composite: CompositeTuple,
-        index_pred: _BoundPredicate,
-        ctx: ExecContext,
-    ) -> List:
-        clock, cm = ctx.clock, ctx.cost_model
-        probe_value = composite.value(
-            index_pred.prior_relation, index_pred.prior_position
+    def _resolve_plan(self, relation: Relation) -> ProbePlan:
+        bound = self._bound
+        index_pred = next(
+            (b for b in bound if relation.has_index(b.target_attribute)), None
         )
-        clock.charge(cm.index_probe)
-        candidates = self.relation.matching(
-            index_pred.target_attribute, probe_value
+        checks = independent_checks([
+            (b.target_position, (b.prior_relation, b.prior_position))
+            for b in bound
+        ])
+        # The index probe decides its own check; every other distinct
+        # check is evaluated once, by the first predicate that carries it.
+        decided = {
+            check for b, check in zip(bound, checks) if b is index_pred
+        }
+        residuals = []
+        for b, check in zip(bound, checks):
+            if check not in decided:
+                decided.add(check)
+                residuals.append(
+                    (b.target_position, b.prior_relation, b.prior_position)
+                )
+        if index_pred is None:
+            return ProbePlan(
+                relation.index_epoch, None, None, None,
+                len(bound), tuple(residuals),
+            )
+        return ProbePlan(
+            relation.index_epoch,
+            index_pred.target_attribute,
+            index_pred.prior_relation,
+            index_pred.prior_position,
+            len(bound) - 1,
+            tuple(residuals),
         )
-        residuals = [b for b in self._bound if b is not index_pred]
-        if not residuals:
-            return candidates
-        clock.charge(cm.predicate_eval * len(candidates) * len(residuals))
-        matches = []
-        for row in candidates:
-            if all(
-                row.values[b.target_position]
-                == composite.value(b.prior_relation, b.prior_position)
-                for b in residuals
-            ):
-                matches.append(row)
-        return matches
 
-    def _scan_matches(
-        self, composite: CompositeTuple, ctx: ExecContext
-    ) -> List:
+    def _matches(
+        self, composite: CompositeTuple, plan: ProbePlan, ctx: ExecContext
+    ) -> List[Row]:
+        """Index probe (or nested-loop scan), then the residual filters."""
         clock, cm = ctx.clock, ctx.cost_model
-        size = len(self.relation)
-        clock.charge(cm.scan_tuple * size)
-        if not self._bound:
-            return list(self.relation.rows())
-        clock.charge(cm.predicate_eval * size * len(self._bound))
-        matches = []
-        for row in self.relation.rows():
-            if all(
-                row.values[b.target_position]
-                == composite.value(b.prior_relation, b.prior_position)
-                for b in self._bound
-            ):
-                matches.append(row)
-        return matches
+        if plan.index_attribute is None:
+            rows = list(self.relation.rows())
+            clock.charge(cm.scan_tuple * len(rows))
+        else:
+            clock.charge(cm.index_probe)
+            rows = self.relation.matching(
+                plan.index_attribute,
+                composite.value(plan.probe_relation, plan.probe_position),
+            )
+        if plan.charged:
+            clock.charge(cm.predicate_eval * len(rows) * plan.charged)
+            for position, prior_relation, prior_position in plan.residuals:
+                wanted = composite.value(prior_relation, prior_position)
+                rows = [row for row in rows if row.values[position] == wanted]
+        return rows
 
     def __repr__(self) -> str:
         preds = ", ".join(
@@ -197,3 +235,4 @@ class JoinOperator:
             for b in self._bound
         )
         return f"Join({self.target}; {preds or 'cross'})"
+

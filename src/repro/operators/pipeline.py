@@ -44,6 +44,59 @@ class ProfileSample:
     taus: List[float] = field(default_factory=list)
 
 
+class _InstrumentedOperator:
+    """One operator step under the instrumentation that is switched on.
+
+    ``sample`` set: record ``δ`` (input size) and ``τ`` (virtual time) for
+    the slot and charge the profiling bookkeeping. ``obs.enabled``: the
+    per-operator latency histogram. ``obs.profiler.enabled``: one span per
+    operator.
+    """
+
+    __slots__ = ("pipeline", "position", "operator", "sample")
+
+    def __init__(
+        self,
+        pipeline: "Pipeline",
+        position: int,
+        operator: JoinOperator,
+        sample: Optional[ProfileSample],
+    ):
+        self.pipeline = pipeline
+        self.position = position
+        self.operator = operator
+        self.sample = sample
+
+    def apply(
+        self, composites: List[CompositeTuple], ctx: ExecContext
+    ) -> List[CompositeTuple]:
+        pipeline, position, sample = self.pipeline, self.position, self.sample
+        clock, obs = ctx.clock, ctx.obs
+        prof = obs.profiler
+        started = clock.now_us
+        if sample is not None:
+            sample.deltas.append(len(composites))
+            clock.charge(ctx.cost_model.profile_tuple)
+        if prof.enabled:
+            prof.begin(pipeline._op_span_names[position], started)
+        try:
+            composites = self.operator.apply(composites, ctx)
+        finally:
+            # Close the span on the exception path too, or a failing
+            # operator leaves the profiler stack open.
+            if prof.enabled:
+                prof.end(clock.now_us)
+        elapsed = clock.now_us - started
+        if sample is not None:
+            sample.taus.append(elapsed)
+        if obs.enabled:
+            obs.registry.histogram(
+                "repro_operator_us",
+                {"pipeline": pipeline.owner, "slot": str(position)},
+            ).observe(elapsed)
+        return composites
+
+
 class Pipeline:
     """Join plan and cache plumbing for one update stream."""
 
@@ -60,6 +113,14 @@ class Pipeline:
         self._updates: Dict[int, List[CacheUpdate]] = defaultdict(list)
         self._blooms: Dict[int, List[BloomLookup]] = defaultdict(list)
         self.observation_sink: Optional[ObservationSink] = None
+        # What process() reads per slot, compiled from the three dicts
+        # above whenever the plumbing changes: the lookup starting at each
+        # operator slot (None: run the operator) and the (maintenance,
+        # bloom) tap tuples at each tap slot (None: no taps).
+        self._no_lookups: Tuple[None, ...] = (None,) * len(self.operators)
+        self._slot_lookups: Tuple[Optional[CacheLookup], ...] = ()
+        self._slot_taps: Tuple[Optional[tuple], ...] = ()
+        self._compile()
 
     # ------------------------------------------------------------------
     # structure
@@ -102,12 +163,14 @@ class Pipeline:
                     f"{position}; this violates the prefix invariant"
                 )
         self._lookups[lookup.start] = lookup
+        self._compile()
 
     def detach_lookup(self, cache_name: str) -> bool:
         """Remove the lookup for ``cache_name``; True if found."""
         for start, lookup in list(self._lookups.items()):
             if lookup.cache.name == cache_name:
                 del self._lookups[start]
+                self._compile()
                 return True
         return False
 
@@ -126,6 +189,7 @@ class Pipeline:
                     f"of {lookup}; this violates the prefix invariant"
                 )
         self._updates[tap.position].append(tap)
+        self._compile()
 
     def detach_updates(self, cache_name: str) -> int:
         """Remove every tap of ``cache_name``; returns the count."""
@@ -138,6 +202,7 @@ class Pipeline:
                 self._updates[position] = keep
             else:
                 del self._updates[position]
+        self._compile()
         return removed
 
     def attach_bloom(self, bloom: BloomLookup) -> None:
@@ -145,6 +210,7 @@ class Pipeline:
         if bloom.position >= len(self.operators):
             raise PlanError("bloom tap must precede a join operator")
         self._blooms[bloom.position].append(bloom)
+        self._compile()
 
     def detach_bloom(self, candidate_id: str) -> int:
         """Remove a candidate's profile-mode lookups; returns the count."""
@@ -157,6 +223,7 @@ class Pipeline:
                 self._blooms[position] = keep
             else:
                 del self._blooms[position]
+        self._compile()
         return removed
 
     def clear_plumbing(self) -> None:
@@ -164,6 +231,20 @@ class Pipeline:
         self._lookups.clear()
         self._updates.clear()
         self._blooms.clear()
+        self._compile()
+
+    def _compile(self) -> None:
+        """Flatten the plumbing dicts into the per-slot tuples."""
+        nops = len(self.operators)
+        self._slot_lookups = tuple(
+            self._lookups.get(position) for position in range(nops)
+        )
+        slot_taps = []
+        for position in range(nops + 1):
+            updates = tuple(self._updates.get(position, ()))
+            blooms = tuple(self._blooms.get(position, ()))
+            slot_taps.append((updates, blooms) if updates or blooms else None)
+        self._slot_taps = tuple(slot_taps)
 
     # ------------------------------------------------------------------
     # execution
@@ -182,69 +263,62 @@ class Pipeline:
         path) and per-operator ``δ``/``τ`` measurements are returned.
         Maintenance taps always run — they keep *other* pipelines' caches
         consistent and are not "using" a cache.
+
+        There is one loop. Whatever instrumentation is switched on — the
+        profiled tuple's measurements, the per-operator histogram, the
+        span profiler — wraps the operator steps
+        (:class:`_InstrumentedOperator`), chosen once per update; with all
+        of it off the loop runs the operators themselves and tests none of
+        those switches.
         """
-        nops = len(self.operators)
         sample = ProfileSample() if profile else None
-        detail = ctx.obs.enabled
-        prof = ctx.obs.profiler
+        operators = self.operators
+        nops = len(operators)
+        obs = ctx.obs
+        if profile or obs.enabled or obs.profiler.enabled:
+            operators = [
+                _InstrumentedOperator(self, position, operator, sample)
+                for position, operator in enumerate(operators)
+            ]
+        lookups = self._no_lookups if profile else self._slot_lookups
+        slot_taps = self._slot_taps
         composites: List[CompositeTuple] = [CompositeTuple.of(self.owner, row)]
         position = 0
-        while position <= nops:
-            self._run_taps(position, composites, sign, ctx)
-            if profile:
-                sample.deltas.append(len(composites))
-            if position == nops or not composites:
-                if profile:
-                    # Pad measurements for slots never reached.
-                    while len(sample.deltas) <= nops:
-                        sample.deltas.append(0)
-                    while len(sample.taus) < nops:
-                        sample.taus.append(0.0)
+        while composites:
+            taps = slot_taps[position]
+            if taps is not None:
+                self._run_taps(taps, composites, sign, ctx)
+            if position == nops:
                 break
-            lookup = None if profile else self._lookups.get(position)
-            if lookup is not None:
+            lookup = lookups[position]
+            if lookup is None:
+                composites = operators[position].apply(composites, ctx)
+                position += 1
+            else:
                 composites = self._through_cache(
                     lookup, composites, sign, ctx
                 )
                 position = lookup.end + 1
-            else:
-                started = ctx.clock.now_us
-                if profile:
-                    ctx.clock.charge(ctx.cost_model.profile_tuple)
-                if prof.enabled:
-                    prof.begin(self._op_span_names[position], started)
-                try:
-                    composites = self.operators[position].apply(
-                        composites, ctx
-                    )
-                finally:
-                    # Close the span on the exception path too, or a
-                    # failing operator leaves the profiler stack open.
-                    if prof.enabled:
-                        prof.end(ctx.clock.now_us)
-                elapsed = ctx.clock.now_us - started
-                if profile:
-                    sample.taus.append(elapsed)
-                if detail:
-                    ctx.obs.registry.histogram(
-                        "repro_operator_us",
-                        {"pipeline": self.owner, "slot": str(position)},
-                    ).observe(elapsed)
-                position += 1
+        if sample is not None:
+            # The slot where the tuple stopped (the final outputs, or the
+            # empty set that ended it early), then padding for the slots
+            # never reached.
+            sample.deltas.append(len(composites))
+            sample.deltas.extend([0] * (nops + 1 - len(sample.deltas)))
+            sample.taus.extend([0.0] * (nops - len(sample.taus)))
         return composites, sample
 
     def _run_taps(
         self,
-        position: int,
+        taps: tuple,
         composites: List[CompositeTuple],
         sign: Sign,
         ctx: ExecContext,
     ) -> None:
-        if not composites:
-            return
-        for tap in self._updates.get(position, ()):
+        updates, blooms = taps
+        for tap in updates:
             tap.apply(composites, sign, ctx)
-        for bloom in self._blooms.get(position, ()):
+        for bloom in blooms:
             for observation in bloom.apply(composites, ctx, sign):
                 if self.observation_sink is not None:
                     self.observation_sink(bloom.candidate_id, observation)

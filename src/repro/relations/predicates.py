@@ -13,7 +13,16 @@ the structural questions the rest of the system needs:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import PlanError, SchemaError
 from repro.streams.tuples import Schema
@@ -72,6 +81,36 @@ def parse_predicate(text: str) -> EquiPredicate:
     except ValueError:
         raise PlanError(f"cannot parse equijoin predicate {text!r}") from None
     return EquiPredicate(AttrRef(lrel, lattr), AttrRef(rrel, rattr))
+
+
+def independent_checks(
+    pairs: Sequence[Tuple[Hashable, Tuple[str, int]]]
+) -> List[tuple]:
+    """Group equality checks that the composite invariant makes redundant.
+
+    Each pair is ``(checked, source)``: some attribute slot ``checked`` must
+    equal the value at ``source = (relation, position)`` of a composite
+    that satisfies every closure predicate among the relations it binds
+    (the invariant stated on ``JoinOperator``). The transitive closure
+    yields one pair per source attribute of an equivalence class, all on
+    the same ``checked`` slot. When those sources belong to two or more
+    relations the invariant already made their values equal, so any one
+    of the pairs decides them all; sources within a *single* relation
+    were never compared with each other — closure predicates only link
+    distinct relations — and each stays a check of its own.
+
+    Returns one hashable id per pair, equal for pairs that decide each
+    other. Join operators (residual predicates) and cache keys (key
+    components) both keep one pair per id.
+    """
+    relations_at: Dict[Hashable, set] = {}
+    for checked, (relation, _position) in pairs:
+        relations_at.setdefault(checked, set()).add(relation)
+    return [
+        (checked, None) if len(relations_at[checked]) > 1
+        else (checked, source)
+        for checked, source in pairs
+    ]
 
 
 class JoinGraph:

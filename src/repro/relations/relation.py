@@ -24,6 +24,10 @@ class Relation:
         self.schema = schema
         self._rows: Dict[int, Row] = {}
         self._indexes: Dict[str, HashIndex] = {}
+        # Bumped whenever the index set changes: whatever was resolved
+        # against the index set (a join operator's probe plan) records the
+        # epoch it saw and re-resolves when it moves.
+        self.index_epoch = 0
         for attribute in indexed_attributes:
             self.add_index(attribute)
 
@@ -39,11 +43,18 @@ class Relation:
         for row in self._rows.values():
             index.add(row)
         self._indexes[attribute] = index
+        self.index_epoch += 1
         return index
 
     def drop_index(self, attribute: str) -> None:
         """Remove the index on ``attribute`` (forcing scans), if present."""
-        self._indexes.pop(attribute, None)
+        if self._indexes.pop(attribute, None) is not None:
+            self.index_epoch += 1
+
+    @property
+    def index_count(self) -> int:
+        """Number of hash indexes a window update has to maintain."""
+        return len(self._indexes)
 
     def has_index(self, attribute: str) -> bool:
         """True if ``attribute`` has a hash index."""

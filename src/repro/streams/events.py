@@ -9,7 +9,9 @@ ordering assumption.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, Iterator, NamedTuple, Tuple
+from functools import partial
+from itertools import repeat
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from repro.errors import ConfigError
 from repro.streams.tuples import Row
@@ -49,6 +51,19 @@ class OutputDelta(NamedTuple):
 
     composite: "object"  # CompositeTuple; typed loosely to avoid cycle
     sign: Sign
+
+
+_new_delta = partial(tuple.__new__, OutputDelta)
+
+
+def output_deltas(composites: Iterable, sign: Sign) -> List[OutputDelta]:
+    """One :class:`OutputDelta` per composite, all carrying ``sign``.
+
+    An update can emit hundreds of deltas, so the list is built by
+    ``map`` over C callables: no Python frame per delta, which the
+    generated ``OutputDelta.__new__`` (and ``_make``) would cost.
+    """
+    return list(map(_new_delta, zip(composites, repeat(sign))))
 
 
 class DeltaBatch:

@@ -13,7 +13,7 @@ evict composites containing a deleted row in O(1) per composite.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.errors import SchemaError
 
@@ -102,10 +102,11 @@ class Row:
 class CompositeTuple:
     """A joined tuple: a mapping from relation name to one :class:`Row`.
 
-    Composites are persistent in the functional sense — ``extended`` returns
-    a new composite sharing the underlying mapping storage of the old one —
-    because a single input row fans out into many composites inside a
-    pipeline and copying dicts on every join step dominates otherwise.
+    Composites are immutable: ``extended`` / ``merge`` / ``project`` return
+    a new composite. A single input row fans out into many composites
+    inside a pipeline, so each of them builds its mapping exactly once and
+    hands it to :func:`_adopt` rather than through the copying public
+    constructor.
     """
 
     __slots__ = ("_rows",)
@@ -116,13 +117,28 @@ class CompositeTuple:
     @classmethod
     def of(cls, relation: str, row: Row) -> "CompositeTuple":
         """Build a single-relation composite (pipeline entry point)."""
-        return cls({relation: row})
+        return _adopt({relation: row})
 
     def extended(self, relation: str, row: Row) -> "CompositeTuple":
         """Return a new composite that also binds ``relation`` to ``row``."""
-        rows = dict(self._rows)
+        rows = self._rows.copy()
         rows[relation] = row
-        return CompositeTuple(rows)
+        return _adopt(rows)
+
+    def extended_each(
+        self, relation: str, rows: Iterable[Row]
+    ) -> List["CompositeTuple"]:
+        """One :meth:`extended` composite per row of ``rows`` — a join
+        step's fan-out, built without a Python call per output."""
+        base = self._rows
+        outputs = []
+        for row in rows:
+            bound = base.copy()
+            bound[relation] = row
+            composite = _new_composite(CompositeTuple)
+            composite._rows = bound
+            outputs.append(composite)
+        return outputs
 
     def row(self, relation: str) -> Row:
         """Return the row bound for ``relation`` (KeyError if unbound)."""
@@ -132,19 +148,29 @@ class CompositeTuple:
         """Return attribute ``position`` of the row bound for ``relation``."""
         return self._rows[relation].values[position]
 
+    def values_at(self, slots: Iterable[Tuple[str, int]]) -> tuple:
+        """The values at several ``(relation, position)`` slots, in order.
+
+        One call per composite for a whole cache key, instead of one
+        :meth:`value` call per key component.
+        """
+        rows = self._rows
+        return tuple([rows[rel].values[pos] for rel, pos in slots])
+
     def relations(self) -> frozenset:
         """The set of relation names bound in this composite."""
         return frozenset(self._rows)
 
     def project(self, relations: Iterable[str]) -> "CompositeTuple":
         """Return a composite restricted to ``relations``."""
-        return CompositeTuple({r: self._rows[r] for r in relations})
+        rows = self._rows
+        return _adopt({r: rows[r] for r in relations})
 
     def merge(self, other: "CompositeTuple") -> "CompositeTuple":
         """Concatenate two composites over disjoint relation sets."""
-        rows = dict(self._rows)
+        rows = self._rows.copy()
         rows.update(other._rows)
-        return CompositeTuple(rows)
+        return _adopt(rows)
 
     def identity(self, order: Iterable[str]) -> tuple:
         """A hashable identity: the rids of the bound rows, in ``order``."""
@@ -170,6 +196,20 @@ class CompositeTuple:
     def __repr__(self) -> str:
         parts = ", ".join(f"{r}={row!r}" for r, row in sorted(self._rows.items()))
         return f"Composite({parts})"
+
+
+_new_composite = object.__new__
+
+
+def _adopt(rows: dict) -> CompositeTuple:
+    """The no-copy constructor: wrap a mapping the caller just built.
+
+    The caller gives ``rows`` up — nothing else may hold a reference to
+    it, or the composite would stop being immutable.
+    """
+    composite = _new_composite(CompositeTuple)
+    composite._rows = rows
+    return composite
 
 
 class RowFactory:

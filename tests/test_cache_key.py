@@ -67,3 +67,27 @@ class TestStarKeys:
         graph = star_graph(4)
         key = CacheKey(graph, ("R4",), ("R1", "R2"))
         assert all(rel == "R4" for rel, _pos in key.prefix_slots)
+
+
+class TestClassWithTwoAttributesOfOneRelation:
+    def graph(self):
+        # R.A = T.A and R.A = T.B: one class holds two attributes of T.
+        return JoinGraph.parse(
+            [Schema("R", ("A",)), Schema("T", ("A", "B"))],
+            ["R.A = T.A", "R.A = T.B"],
+        )
+
+    def test_single_prefix_relation_keeps_both_attributes(self):
+        # In ∆T's pipeline nothing has compared T.A with T.B, so the key
+        # needs both: a probe with T.A != T.B must not hit R.A's entry.
+        key = CacheKey(self.graph(), ("T",), ("R",))
+        assert key.width == 2
+        rows = RowFactory()
+        entry = key.entry_key(CompositeTuple.of("R", rows.make((5,))))
+        assert key.probe_value(CompositeTuple.of("T", rows.make((5, 5)))) == entry
+        assert key.probe_value(CompositeTuple.of("T", rows.make((5, 6)))) != entry
+
+    def test_two_prefix_relations_dedupe_to_one_component(self):
+        # Star: R3.A equals R1.A and R2.A, which upstream made equal.
+        key = CacheKey(star_graph(3), ("R1", "R2"), ("R3",))
+        assert key.width == 1

@@ -1,0 +1,99 @@
+"""Golden virtual-clock values: "Figures 6-13 do not move", in CI.
+
+The virtual clock is a deterministic function of the sequence of modeled
+charges, and the adaptive decisions (which caches are Used, when the
+re-optimizer runs) are functions of that clock. A change that is meant
+to alter only what the *machine* does per update — a hot-path
+optimisation — must therefore reproduce these values bit for bit; a
+change that means to alter the cost model regenerates the file and says
+so in its description::
+
+    PYTHONPATH=src python tests/test_golden_clock.py
+
+``tests/data/golden_clock.json`` was recorded on the commit before the
+pipelines were compiled at plan-switch time (PR 13's parent).
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable, Dict, Tuple
+
+import pytest
+
+from repro.api import Session
+from repro.parallel.bench import bench_engine_config
+from repro.scenarios.library import SCENARIOS, build_scenario_workload
+from repro.streams.events import batched
+from repro.streams.workloads import Workload, fig9_workload
+
+GOLDEN = Path(__file__).parent / "data" / "golden_clock.json"
+
+
+def _star6(arrivals: int) -> Workload:
+    return fig9_workload(6, window=48)
+
+
+def _scenario(name: str) -> Callable[[int], Workload]:
+    return lambda arrivals: build_scenario_workload(SCENARIOS[name], arrivals)
+
+
+# name -> (workload builder, arrivals, batch size)
+WORKLOADS: Dict[str, Tuple[Callable[[int], Workload], int, int]] = {
+    "star6_batch1": (_star6, 3_000, 1),
+    "star6_batch64": (_star6, 3_000, 64),
+    "key_skew_churn": (_scenario("key_skew_churn"), 2_000, 1),
+    "delete_storm": (_scenario("delete_storm"), 6_000, 1),
+}
+
+
+def measure(name: str) -> Dict[str, object]:
+    """Run one workload on the bench config; return what is pinned."""
+    build, arrivals, batch_size = WORKLOADS[name]
+    workload = build(arrivals)
+    session = Session.adaptive(workload, bench_engine_config(batch_size))
+    updates = workload.updates(arrivals)
+    if batch_size == 1:
+        for update in updates:
+            session.process(update)
+    else:
+        for batch in batched(updates, batch_size):
+            session.process_batch(batch)
+    ctx = session.ctx
+    return {
+        "clock_now_us": repr(ctx.clock.now_us),
+        "outputs_emitted": ctx.metrics.outputs_emitted,
+        "cache_hits": ctx.metrics.cache_hits,
+        "reoptimizations": ctx.metrics.reoptimizations,
+        "used_caches": sorted(session.plan.used_caches()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_virtual_clock_and_decisions_match_golden(name):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert measure(name) == golden[name]
+
+
+def test_golden_runs_exercise_adaptivity():
+    """The pinned runs must reach the states a hot-path change can break."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert set(golden) == set(WORKLOADS)
+    for name, values in golden.items():
+        assert values["outputs_emitted"] > 0, name
+        assert values["reoptimizations"] > 0, name
+    assert golden["star6_batch1"]["cache_hits"] > 0
+    assert golden["star6_batch1"]["used_caches"]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps(
+            {name: measure(name) for name in sorted(WORKLOADS)}, indent=2
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN}")

@@ -7,6 +7,7 @@ from repro.relations.predicates import (
     AttrRef,
     EquiPredicate,
     JoinGraph,
+    independent_checks,
     parse_predicate,
 )
 from repro.streams.tuples import Schema
@@ -93,3 +94,26 @@ class TestJoinGraph:
     def test_duplicate_relations_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):
             JoinGraph([Schema("R", ("A",)), Schema("R", ("A",))], [])
+
+
+class TestIndependentChecks:
+    def test_sources_in_two_relations_decide_each_other(self):
+        # One checked slot, sources R1.A and R2.A: upstream made them equal.
+        a, b = independent_checks([(0, ("R1", 0)), (0, ("R2", 0))])
+        assert a == b
+
+    def test_sources_in_one_relation_stay_apart(self):
+        # T.A and T.B both checked against slot 0: nobody compared them.
+        a, b = independent_checks([(0, ("T", 0)), (0, ("T", 1))])
+        assert a != b
+
+    def test_different_checked_slots_stay_apart(self):
+        a, b = independent_checks([(0, ("R", 0)), (1, ("R", 0))])
+        assert a != b
+
+    def test_same_relation_attributes_fold_once_another_relation_joins(self):
+        # T.A = R.A and T.B = R.A were both enforced upstream, so T.A = T.B.
+        checks = independent_checks(
+            [(0, ("T", 0)), (0, ("T", 1)), (0, ("R", 0))]
+        )
+        assert len(set(checks)) == 1
