@@ -101,6 +101,13 @@ class MJoinExecutor:
             resolved.update({k: tuple(v) for k, v in orders.items()})
         for owner, order in resolved.items():
             self._build_pipeline(owner, order)
+        # Per-update latency histograms, bound once per pipeline owner.
+        self._update_histograms = {
+            owner: self.ctx.obs.registry.histogram(
+                "repro_pipeline_update_us", {"pipeline": owner}
+            )
+            for owner in (resolved if self.ctx.obs.enabled else ())
+        }
         self.profile_gate: Optional[ProfileGate] = None
         self.sample_sink: Optional[SampleSink] = None
         # Optional ResilienceController (repro.faults): gates ingress and
@@ -133,7 +140,7 @@ class MJoinExecutor:
             op.bind(self.relations[target])
             operators.append(op)
             prior.append(target)
-        pipeline = Pipeline(owner, operators)
+        pipeline = Pipeline(owner, operators, obs=self.ctx.obs)
         self.pipelines[owner] = pipeline
         return pipeline
 
@@ -173,13 +180,14 @@ class MJoinExecutor:
         ctx = self.ctx
         clock = ctx.clock
         obs = ctx.obs
-        observed = obs.enabled
-        prof = obs.profiler
-        spans = prof.enabled
+        # Instrumented engines time one update in obs.sample_every; every
+        # site below reads the decision back from obs.timing.
+        timed = obs.instrumented and obs.sample_update()
         relation, sign = update.relation, update.sign
-        started_us = clock.now_us if observed else 0.0
-        if spans:
-            prof.begin("update:" + relation, clock.now_us)
+        if timed:
+            prof = obs.profiler
+            started_us = clock.now_us
+            prof.begin("update:" + relation, started_us)
         try:
             profile = (
                 self.profile_gate is not None
@@ -213,13 +221,11 @@ class MJoinExecutor:
         finally:
             # The span must close even when the pipeline raises (a poison
             # update must not leave the profiler stack unbalanced).
-            if spans:
+            if timed:
                 prof.end(clock.now_us)
-        if observed:
+        if timed and obs.enabled:
             now_us = clock.now_us
-            obs.registry.histogram(
-                "repro_pipeline_update_us", {"pipeline": relation}
-            ).observe(now_us - started_us)
+            self._update_histograms[relation].observe(now_us - started_us)
             obs.tracer.emit(
                 "update_processed",
                 now_us,

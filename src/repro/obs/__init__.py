@@ -52,8 +52,20 @@ class Observability:
     ``enabled`` gates everything with per-update cost (trace emission,
     per-operator histograms); the decision log stays live regardless
     because decisions are rare and always worth keeping. ``profiler``
-    carries its own ``enabled`` flag (checked separately on hot paths)
-    so wall-clock span profiling can run with or without tracing.
+    carries its own ``enabled`` flag so wall-clock span profiling can run
+    with or without tracing.
+
+    What is on splits in two. *Counters* (probes, hits, creates,
+    maintenance calls) are exact: every update bumps them. *Timing
+    instrumentation* — span pairs, the per-operator and per-update
+    latency histograms, the per-update ``update_processed`` /
+    ``cache_probe`` trace events — is taken on one update in
+    ``sample_every``, the way the paper's profiler samples tuples with
+    probability *p* so that measuring does not eat the throughput it
+    measures. The executor draws the sample (:meth:`sample_update`) and
+    every site below it reads the one ``timing`` flag. ``sample_every``
+    is 1 everywhere except where a caller passes more (the service does,
+    so its engines can leave telemetry on).
     """
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -61,6 +73,27 @@ class Observability:
     decisions: DecisionLog = field(default_factory=DecisionLog)
     enabled: bool = False
     profiler: Union[SpanProfiler, NullSpanProfiler] = NULL_PROFILER
+    sample_every: int = 1
+    # Is any per-update instrumentation on at all (fixed at construction),
+    # and does the update in flight take the timing part of it.
+    instrumented: bool = field(init=False)
+    timing: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
+        self.instrumented = self.enabled or self.profiler.enabled
+        self.timing = self.instrumented
+        self._until_timed = 1   # the first update is always timed
+
+    def sample_update(self) -> bool:
+        """Start one update: set (and return) whether it is timed."""
+        self._until_timed -= 1
+        timed = self._until_timed == 0
+        if timed:
+            self._until_timed = self.sample_every
+        self.timing = timed
+        return timed
 
     @classmethod
     def disabled(cls) -> "Observability":
@@ -73,12 +106,14 @@ class Observability:
         capacity_per_kind: int = 4096,
         decision_capacity: int = 4096,
         profile: bool = False,
+        sample_every: int = 1,
     ) -> "Observability":
         """A fully enabled session (live tracer, detailed metrics).
 
         ``profile=True`` additionally attaches a live
         :class:`~repro.obs.profile.SpanProfiler` recording dual-clock
         spans into folded stacks and latency aggregates.
+        ``sample_every=N`` times one update in N (counters stay exact).
         """
         return cls(
             registry=MetricsRegistry(),
@@ -86,6 +121,7 @@ class Observability:
             decisions=DecisionLog(capacity=decision_capacity),
             enabled=True,
             profiler=SpanProfiler() if profile else NULL_PROFILER,
+            sample_every=sample_every,
         )
 
 

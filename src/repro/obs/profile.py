@@ -271,6 +271,11 @@ class SpanProfiler:
         """Number of currently open spans."""
         return len(self._stack)
 
+    def __reduce__(self):
+        # Span tables are telemetry, not engine state: a pickled profiler
+        # (an engine checkpoint carries one) comes back empty.
+        return (SpanProfiler, ())
+
     def snapshot(self) -> ProfileSnapshot:
         """Freeze the folded table + aggregates into plain data."""
         return ProfileSnapshot(

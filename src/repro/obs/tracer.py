@@ -147,6 +147,12 @@ class Tracer:
         self._rings.clear()
         self.dropped.clear()
 
+    def __getstate__(self) -> dict:
+        # The rings are telemetry, not engine state: a pickled tracer (an
+        # engine checkpoint carries one) comes back empty, its sequence
+        # numbers still increasing.
+        return dict(self.__dict__, _rings={}, dropped={})
+
     def __len__(self) -> int:
         return sum(len(ring) for ring in self._rings.values())
 

@@ -40,9 +40,16 @@ class CacheLookup:
     deletion consumes the probed entry only when the dying row is the last
     such witness — otherwise the entry's maintenance guarantee still holds
     (see the GlobalCache module docstring).
+
+    ``counters`` is the lookup's bound registry instruments — (probe
+    batches, composites probed, hits, entry creations) — set by the
+    pipeline when it compiles its plumbing under an enabled
+    observability; None otherwise.
     """
 
-    __slots__ = ("cache", "start", "end", "key", "owner_witness_count")
+    __slots__ = (
+        "cache", "start", "end", "key", "owner_witness_count", "counters",
+    )
 
     def __init__(
         self, cache: Cache, start: int, end: int, key=None,
@@ -55,6 +62,7 @@ class CacheLookup:
         self.end = end
         self.key = key if key is not None else cache.key
         self.owner_witness_count = owner_witness_count
+        self.counters = None
 
     @property
     def width(self) -> int:
@@ -70,15 +78,18 @@ class CacheUpdate:
 
     ``position`` is the pipeline slot whose *input* composites are exactly
     the updates to the cache's maintained join (guaranteed by the prefix
-    invariant of the maintained relation set).
+    invariant of the maintained relation set). ``counters`` is the tap's
+    bound (calls, applied) registry counters, set like
+    :attr:`CacheLookup.counters`.
     """
 
-    __slots__ = ("cache", "position", "owner")
+    __slots__ = ("cache", "position", "owner", "counters")
 
     def __init__(self, cache: Cache, position: int, owner: str):
         self.cache = cache
         self.position = position
         self.owner = owner  # the updated relation whose pipeline we sit in
+        self.counters = None
 
     def apply(
         self,
@@ -89,7 +100,6 @@ class CacheUpdate:
         """Run the maintenance calls for a batch of delta composites."""
         clock, cm = ctx.clock, ctx.cost_model
         is_global = isinstance(self.cache, GlobalCache)
-        obs = ctx.obs
         applied_count = 0
         # Micro-batch mode: group same-key deltas behind one hash +
         # bucket check; each applied delta still pays its own cost.
@@ -120,14 +130,11 @@ class CacheUpdate:
             if applied:
                 applied_count += 1
                 clock.charge(cm.cache_maintain)
-        if obs.enabled and composites:
-            labels = {"cache": self.cache.name, "pipeline": self.owner}
-            obs.registry.counter(
-                "repro_cache_maintenance_calls_by_cache_total", labels
-            ).inc(len(composites))
-            obs.registry.counter(
-                "repro_cache_maintenance_applied_total", labels
-            ).inc(applied_count)
+        counters = self.counters
+        if counters is not None and composites:
+            calls, applied_total = counters
+            calls.inc(len(composites))
+            applied_total.inc(applied_count)
 
     def __repr__(self) -> str:
         return f"CacheUpdate({self.cache.name}@{self.position} in ∆{self.owner})"

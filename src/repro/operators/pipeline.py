@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError
+from repro.obs import Observability
+from repro.obs.profile import NULL_PROFILER
 from repro.operators.base import ExecContext
 from repro.operators.cache_ops import BloomLookup, CacheLookup, CacheUpdate
 from repro.operators.join_op import JoinOperator
@@ -48,67 +50,85 @@ class _InstrumentedOperator:
     """One operator step under the instrumentation that is switched on.
 
     ``sample`` set: record ``δ`` (input size) and ``τ`` (virtual time) for
-    the slot and charge the profiling bookkeeping. ``obs.enabled``: the
-    per-operator latency histogram. ``obs.profiler.enabled``: one span per
-    operator.
+    the slot and charge the profiling bookkeeping. On a timed update
+    (``Observability.timing``) ``profiler`` and ``histogram`` are the live
+    span profiler and the slot's bound latency histogram, whichever of
+    them are enabled; otherwise the null profiler and None.
     """
 
-    __slots__ = ("pipeline", "position", "operator", "sample")
+    __slots__ = ("operator", "sample", "span", "profiler", "histogram")
 
     def __init__(
         self,
-        pipeline: "Pipeline",
-        position: int,
         operator: JoinOperator,
         sample: Optional[ProfileSample],
+        span: str,
+        profiler,
+        histogram,
     ):
-        self.pipeline = pipeline
-        self.position = position
         self.operator = operator
         self.sample = sample
+        self.span = span
+        self.profiler = profiler
+        self.histogram = histogram
 
     def apply(
         self, composites: List[CompositeTuple], ctx: ExecContext
     ) -> List[CompositeTuple]:
-        pipeline, position, sample = self.pipeline, self.position, self.sample
-        clock, obs = ctx.clock, ctx.obs
-        prof = obs.profiler
+        sample, prof = self.sample, self.profiler
+        clock = ctx.clock
         started = clock.now_us
         if sample is not None:
             sample.deltas.append(len(composites))
             clock.charge(ctx.cost_model.profile_tuple)
-        if prof.enabled:
-            prof.begin(pipeline._op_span_names[position], started)
+        prof.begin(self.span, started)
         try:
             composites = self.operator.apply(composites, ctx)
         finally:
             # Close the span on the exception path too, or a failing
             # operator leaves the profiler stack open.
-            if prof.enabled:
-                prof.end(clock.now_us)
+            prof.end(clock.now_us)
         elapsed = clock.now_us - started
         if sample is not None:
             sample.taus.append(elapsed)
-        if obs.enabled:
-            obs.registry.histogram(
-                "repro_operator_us",
-                {"pipeline": pipeline.owner, "slot": str(position)},
-            ).observe(elapsed)
+        if self.histogram is not None:
+            self.histogram.observe(elapsed)
         return composites
 
 
 class Pipeline:
     """Join plan and cache plumbing for one update stream."""
 
-    def __init__(self, owner: str, operators: Sequence[JoinOperator]):
+    def __init__(
+        self,
+        owner: str,
+        operators: Sequence[JoinOperator],
+        obs: Optional[Observability] = None,
+    ):
         self.owner = owner
         self.operators: List[JoinOperator] = list(operators)
-        # Span names precomputed per slot (reorders build a new Pipeline,
-        # so this stays correct for the pipeline's lifetime).
+        # The registry instruments are bound to, once: per-slot histograms
+        # here, per-cache counters whenever the plumbing is compiled. None
+        # (no observability, or a disabled one) binds nothing.
+        self._registry = (
+            obs.registry if obs is not None and obs.enabled else None
+        )
+        # Span names and latency histograms per slot (reorders build a new
+        # Pipeline, so these stay correct for the pipeline's lifetime).
         self._op_span_names: Tuple[str, ...] = tuple(
             f"op:{owner}.{position}:{op.target}"
             for position, op in enumerate(self.operators)
         )
+        self._no_histograms: Tuple[None, ...] = (None,) * len(self.operators)
+        self._op_histograms: tuple = self._no_histograms
+        if self._registry is not None:
+            self._op_histograms = tuple(
+                self._registry.histogram(
+                    "repro_operator_us",
+                    {"pipeline": owner, "slot": str(position)},
+                )
+                for position in range(len(self.operators))
+            )
         self._lookups: Dict[int, CacheLookup] = {}
         self._updates: Dict[int, List[CacheUpdate]] = defaultdict(list)
         self._blooms: Dict[int, List[BloomLookup]] = defaultdict(list)
@@ -245,6 +265,31 @@ class Pipeline:
             blooms = tuple(self._blooms.get(position, ()))
             slot_taps.append((updates, blooms) if updates or blooms else None)
         self._slot_taps = tuple(slot_taps)
+        registry = self._registry
+        if registry is None:
+            return
+        for lookup in self._lookups.values():
+            labels = {"cache": lookup.cache.name}
+            lookup.counters = tuple(
+                registry.counter(name, labels)
+                for name in (
+                    "repro_cache_probe_batch_total",
+                    "repro_cache_probed_total",
+                    "repro_cache_hit_total",
+                    "repro_cache_create_total",
+                )
+            )
+        for taps in self._updates.values():
+            for tap in taps:
+                labels = {"cache": tap.cache.name, "pipeline": tap.owner}
+                tap.counters = (
+                    registry.counter(
+                        "repro_cache_maintenance_calls_by_cache_total", labels
+                    ),
+                    registry.counter(
+                        "repro_cache_maintenance_applied_total", labels
+                    ),
+                )
 
     # ------------------------------------------------------------------
     # execution
@@ -264,21 +309,27 @@ class Pipeline:
         Maintenance taps always run — they keep *other* pipelines' caches
         consistent and are not "using" a cache.
 
-        There is one loop. Whatever instrumentation is switched on — the
-        profiled tuple's measurements, the per-operator histogram, the
-        span profiler — wraps the operator steps
-        (:class:`_InstrumentedOperator`), chosen once per update; with all
-        of it off the loop runs the operators themselves and tests none of
-        those switches.
+        There is one loop. Whatever instrumentation this update takes —
+        the profiled tuple's measurements and, when the update is timed,
+        the per-operator histogram and the span profiler — wraps the
+        operator steps (:class:`_InstrumentedOperator`), chosen once per
+        update; with none of it the loop runs the operators themselves and
+        tests none of those switches.
         """
         sample = ProfileSample() if profile else None
         operators = self.operators
         nops = len(operators)
         obs = ctx.obs
-        if profile or obs.enabled or obs.profiler.enabled:
+        if profile or obs.timing:
+            if obs.timing:
+                prof, histograms = obs.profiler, self._op_histograms
+            else:
+                prof, histograms = NULL_PROFILER, self._no_histograms
             operators = [
-                _InstrumentedOperator(self, position, operator, sample)
-                for position, operator in enumerate(operators)
+                _InstrumentedOperator(operator, sample, span, prof, histogram)
+                for operator, span, histogram in zip(
+                    operators, self._op_span_names, histograms
+                )
             ]
         lookups = self._no_lookups if profile else self._slot_lookups
         slot_taps = self._slot_taps
@@ -333,8 +384,10 @@ class Pipeline:
         """Probe the cache for each composite; compute misses per key."""
         clock, cm = ctx.clock, ctx.cost_model
         cache = lookup.cache
-        prof = ctx.obs.profiler
-        if prof.enabled:
+        obs = ctx.obs
+        timed = obs.timing
+        prof = obs.profiler
+        if timed:
             prof.begin("cache_probe:" + cache.name, clock.now_us)
         # Globally-consistent caches anchored on this pipeline's relation:
         # a deletion that is the last owner-side witness of its key must
@@ -383,38 +436,34 @@ class Pipeline:
                 for segment_composite in values:
                     results.append(composite.merge(segment_composite))
         finally:
-            if prof.enabled:
+            if timed:
                 prof.end(clock.now_us)
-        obs = ctx.obs
-        if obs.enabled and composites:
-            labels = {"cache": cache.name}
-            obs.registry.counter(
-                "repro_cache_probe_batch_total", labels
-            ).inc()
-            obs.registry.counter(
-                "repro_cache_probed_total", labels
-            ).inc(len(composites))
-            obs.registry.counter(
-                "repro_cache_hit_total", labels
-            ).inc(hit_count)
-            obs.tracer.emit(
-                "cache_probe",
-                clock.now_us,
-                cache=cache.name,
-                pipeline=self.owner,
-                probes=len(composites),
-                hits=hit_count,
-                misses=len(composites) - hit_count,
-                sign=sign.name,
-            )
-        if prof.enabled and miss_groups:
+        counters = lookup.counters
+        if counters is not None and composites:
+            batches, probed, hits, _ = counters
+            batches.inc()
+            probed.inc(len(composites))
+            hits.inc(hit_count)
+            if timed:
+                obs.tracer.emit(
+                    "cache_probe",
+                    clock.now_us,
+                    cache=cache.name,
+                    pipeline=self.owner,
+                    probes=len(composites),
+                    hits=hit_count,
+                    misses=len(composites) - hit_count,
+                    sign=sign.name,
+                )
+        timed = timed and bool(miss_groups)
+        if timed:
             prof.begin("cache_store:" + cache.name, clock.now_us)
         try:
             self._fill_misses(
                 lookup, miss_groups, consumed_keys, results, ctx
             )
         finally:
-            if prof.enabled and miss_groups:
+            if timed:
                 prof.end(clock.now_us)
         return results
 
@@ -429,7 +478,7 @@ class Pipeline:
         """Compute the segment join for each missed key; fill the cache."""
         clock, cm = ctx.clock, ctx.cost_model
         cache = lookup.cache
-        obs = ctx.obs
+        creates = lookup.counters[3] if lookup.counters is not None else None
         for probe_key, group in miss_groups.items():
             if probe_key in consumed_keys:
                 # Compute through the operators without creating an entry:
@@ -459,10 +508,8 @@ class Pipeline:
                 cm.cache_create + cm.cache_store_tuple * len(segment_parts)
             )
             ctx.metrics.cache_creates += 1
-            if obs.enabled:
-                obs.registry.counter(
-                    "repro_cache_create_total", {"cache": cache.name}
-                ).inc()
+            if creates is not None:
+                creates.inc()
             cache.create(probe_key, segment_parts)
             for i, member in enumerate(group):
                 if i > 0:

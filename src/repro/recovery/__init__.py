@@ -5,6 +5,9 @@ production-side durability story on top of the deterministic core:
 
 * :mod:`repro.recovery.wal` — an append-only, length-prefixed JSONL
   write-ahead log of canonical update events with fsync batching;
+* :mod:`repro.recovery.journal` — the service's delta journal: what
+  processed updates emitted, appended in the WAL's record framing
+  (:mod:`repro.recovery.framing`) so checkpoints need not carry it;
 * :mod:`repro.recovery.snapshot` — a versioned, checksummed snapshot
   container and the on-disk checkpoint store;
 * :mod:`repro.recovery.manager` — the :class:`Recorder` that journals a

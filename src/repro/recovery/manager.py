@@ -13,7 +13,8 @@ Two cache modes trade checkpoint size against restore work:
 
 * ``"snapshot"`` pickles the whole engine — caches, profiler,
   re-optimizer, clock, resilience — so restore is byte-for-byte the
-  crashed process's state.
+  crashed process's state. (Telemetry rings are not engine state: the
+  tracer and the span profiler an engine carries pickle as empty ones.)
 * ``"rebuild"`` persists only what recomputation cannot reproduce: the
   windowed relations, virtual-clock reading, metrics, and the ingress
   guard's pairing state. Caches are subresults (Definition 3.1 promises

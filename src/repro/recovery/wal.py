@@ -1,16 +1,12 @@
 """The write-ahead update log: append-only, length-prefixed JSONL.
 
-One record per update, in global arrival order::
-
-    <payload-length> <json-payload>\\n
-
-The payload is the canonical form of one :class:`~repro.streams.events.
+One record per update, in global arrival order, framed as
+:mod:`repro.recovery.framing` describes (``<length> <json>\\n``, which
+is what lets a reader stop at a torn tail instead of raising). The
+payload is the canonical form of one :class:`~repro.streams.events.
 Update` — relation, rid, values, sign, and the deterministic global
 ``seq`` assigned by the window operators (or the fault plan's
-renumbering). The explicit length prefix is what makes the log
-crash-tolerant: a torn tail — a record cut mid-payload by the OS losing
-un-fsynced pages — fails the length/framing check and the reader stops
-at the last complete record instead of raising.
+renumbering).
 
 Appends are buffered and fsynced in batches of ``fsync_every`` records;
 ``durable_offset`` tracks the byte position guaranteed on stable
@@ -28,20 +24,22 @@ import os
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError, RecoveryError
+from repro.recovery.framing import frame, read_frames
 from repro.streams.events import Sign, Update
 from repro.streams.tuples import Row
 
 _CORRUPT_KEY = "__corrupt__"
 
 
-def _encode_value(value: object) -> object:
+def _encode_corrupt(value: object) -> object:
     # The unhashable CorruptValue sentinel is the one non-JSON value a
-    # faulted stream can carry; round-trip it through a tagged dict.
+    # faulted stream can carry; round-trip it through a tagged dict. As
+    # the encoder's ``default`` hook this runs for that value only.
     from repro.faults.plan import CorruptValue
 
     if isinstance(value, CorruptValue):
         return {_CORRUPT_KEY: True}
-    return value
+    raise TypeError(f"{type(value).__name__} is not WAL-serializable")
 
 
 def _decode_value(value: object) -> object:
@@ -52,19 +50,22 @@ def _decode_value(value: object) -> object:
     return value
 
 
+# Built once, like framing.encode_json, plus the corrupt-value hook.
+_ENCODE = json.JSONEncoder(
+    separators=(",", ":"), default=_encode_corrupt
+).encode
+
+
 def encode_update(update: Update) -> bytes:
     """One WAL record (length prefix + JSON payload + newline)."""
-    payload = {
+    # Keys in sorted order, so the bytes are what sort_keys would give.
+    return frame(_ENCODE({
         "relation": update.relation,
         "rid": update.row.rid,
-        "values": [_encode_value(v) for v in update.row.values],
-        "sign": int(update.sign),
         "seq": update.seq,
-    }
-    data = json.dumps(
-        payload, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    return b"%d %s\n" % (len(data), data)
+        "sign": int(update.sign),
+        "values": update.row.values,
+    }).encode("utf-8"))
 
 
 def decode_payload(data: bytes) -> Update:
@@ -92,27 +93,14 @@ def read_wal(path: str) -> Tuple[List[Update], bool, int]:
     with open(path, "rb") as handle:
         data = handle.read()
     updates: List[Update] = []
-    offset = 0
-    while offset < len(data):
-        space = data.find(b" ", offset)
-        if space < 0:
-            return updates, True, offset
+    valid_bytes = 0
+    for payload, end in read_frames(data):
         try:
-            length = int(data[offset:space])
-        except ValueError:
-            return updates, True, offset
-        start = space + 1
-        end = start + length
-        if end + 1 > len(data):
-            return updates, True, offset
-        if data[end:end + 1] != b"\n":
-            return updates, True, offset
-        try:
-            updates.append(decode_payload(data[start:end]))
+            updates.append(decode_payload(payload))
         except (ValueError, KeyError, UnicodeDecodeError):
-            return updates, True, offset
-        offset = end + 1
-    return updates, False, offset
+            break
+        valid_bytes = end
+    return updates, valid_bytes < len(data), valid_bytes
 
 
 class WriteAheadLog:

@@ -8,9 +8,9 @@ Each :class:`QueryHost` owns:
   admission control),
 * the service-side window operators that turn client arrivals into the
   engine's globally ordered update stream,
-* a per-query WAL + checkpoint store (the PR-5 recovery format), so a
-  killed server resumes via :class:`~repro.recovery.manager.
-  RecoveryManager` without losing one acknowledged update,
+* a per-query WAL, delta journal, and checkpoint store, so a killed
+  server resumes via :class:`~repro.recovery.manager.RecoveryManager`
+  without losing one acknowledged update or one logged delta,
 * the bounded ingress queue, admission controller, and degradation
   ladder defending the ingest path, and
 * the result-delta log + WebSocket subscribers.
@@ -20,9 +20,9 @@ Threading model — three lanes, each single-threaded:
 * the **event loop** owns all service state (windows, seq counters,
   queues, delta logs, subscribers); handlers never await inside an
   order-critical section, so loop-thread sections are atomic;
-* a one-thread **WAL executor** serializes every journal/checkpoint file
-  operation (FIFO, so a checkpoint's fsync queues behind every pending
-  append);
+* a one-thread **WAL executor** serializes every WAL/journal/checkpoint
+  file operation (FIFO, so a checkpoint's fsync queues behind every
+  pending append);
 * a one-thread **engine executor** serializes all engine mutation,
   preserving the paper's global update ordering.
 
@@ -50,6 +50,8 @@ from repro.faults.resilience import ResilienceConfig
 from repro.obs.decisions import CHECKPOINT, DRAIN
 from repro.obs.export import registry_to_prometheus
 from repro.obs.registry import MetricsRegistry
+from repro.recovery.framing import encode_json
+from repro.recovery.journal import DeltaJournal
 from repro.recovery.manager import RecoveryConfig, RecoveryManager, build_payload
 from repro.recovery.snapshot import CheckpointStore
 from repro.recovery.wal import WriteAheadLog, read_wal
@@ -61,6 +63,7 @@ from repro.service.backpressure import (
     TIER_PAUSE_SUBSCRIPTIONS,
 )
 from repro.service.config import ServiceConfig
+from repro.service.deltas import DeltaFrame, DeltaLog, log_entries
 from repro.service.http import (
     BadRequest,
     HttpRequest,
@@ -76,7 +79,7 @@ from repro.service.http import (
     response_bytes,
     websocket_accept,
 )
-from repro.streams.events import Sign, Update, canonical_delta
+from repro.streams.events import Sign, Update
 from repro.streams.tuples import Row
 from repro.streams.workloads import (
     fig9_workload,
@@ -98,6 +101,12 @@ SECONDS_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
+
+# A served engine keeps its telemetry on: counters exact, timing
+# instrumentation (spans, latency histograms, per-update trace events) on
+# one update in this many. At 64 the enabled engine runs within a few
+# percent of a disabled one; at 1 it cost more than the join.
+TELEMETRY_SAMPLE_EVERY = 64
 
 # The numeric knobs a "chain" registration may set (three_way_chain kwargs).
 _CHAIN_PARAMS = {
@@ -155,12 +164,6 @@ def workload_factory(spec: dict) -> Callable[[], object]:
     raise ConfigError(
         f"workload kind must be 'chain', 'star', or 'table2', got {kind!r}"
     )
-
-
-def _jsonable_delta(delta) -> list:
-    """A JSON-stable form of :func:`canonical_delta` (lists, not tuples)."""
-    sign, pairs = canonical_delta(delta)
-    return [sign, [[relation, list(values)] for relation, values in pairs]]
 
 
 class _ServiceWindows:
@@ -245,7 +248,7 @@ class _Subscriber:
         self.dropped = 0
         self.sent = 0
 
-    def offer(self, frame: dict) -> None:
+    def offer(self, frame) -> None:
         """Enqueue a data frame; a full buffer marks a gap, never blocks."""
         try:
             self.frames.put_nowait(frame)
@@ -312,7 +315,7 @@ class QueryHost:
         self.next_seq = 0
         self.processed_seq = -1    # engine has applied updates <= this
         self.acked_seq = -1        # clients hold 202s for updates <= this
-        self.delta_log: Deque[dict] = deque()
+        self.delta_log = DeltaLog()
         self.delta_trimmed = 0
         self.deltas_shed = 0
         self.engine_errors = 0
@@ -329,8 +332,21 @@ class QueryHost:
         )
         self.subscribers: List[_Subscriber] = []
         self._since_checkpoint = 0
+        # Instruments bound once; the per-batch path only bumps them.
+        labels = {"query": name}
+        self._ingest_counter = registry.counter(
+            "repro_service_ingest_updates_total", labels
+        )
+        self._engine_error_counter = registry.counter(
+            "repro_service_engine_errors_total", labels
+        )
+        self._delta_latency = registry.histogram(
+            "repro_service_delta_latency_seconds", labels,
+            buckets=SECONDS_BUCKETS,
+        )
 
         self.wal: Optional[WriteAheadLog] = None
+        self.journal: Optional[DeltaJournal] = None
         self.store: Optional[CheckpointStore] = None
         self.recovery_config: Optional[RecoveryConfig] = None
         if config.wal_root is not None:
@@ -350,7 +366,9 @@ class QueryHost:
     def _construct_engine(self):
         from repro import obs as obs_mod
 
-        handle = obs_mod.Observability.tracing(profile=True)
+        handle = obs_mod.Observability.tracing(
+            profile=True, sample_every=TELEMETRY_SAMPLE_EVERY
+        )
         with obs_mod.session(handle):
             return build_adaptive_engine(self._workload, self.engine_config)
 
@@ -367,6 +385,7 @@ class QueryHost:
             cache_mode=self.engine_config.cache_recovery,
         )
         rcfg = self.recovery_config
+        self.journal = DeltaJournal(wal_dir)
         had_state = os.path.exists(rcfg.wal_path) or (
             os.path.isdir(rcfg.checkpoint_dir)
             and os.listdir(rcfg.checkpoint_dir)
@@ -388,9 +407,14 @@ class QueryHost:
         state = (restored.runner_state or {}).get("service")
         if state is not None:
             self.windows.load(state["windows"])
-            self.delta_log = deque(state["delta_log"])
-            self.delta_trimmed = state.get("delta_trimmed", 0)
+            self.delta_trimmed = state["delta_trimmed"]
             self.next_seq = state["next_seq"]
+        # The delta log through the checkpoint comes from the journal
+        # (which drops whatever it holds past that seq); the rest is
+        # regenerated by the replay below and journaled again.
+        self.delta_log = DeltaLog(self.journal.load(
+            restored.checkpoint_seq, self.config.delta_log_capacity
+        ))
         # Re-apply the WAL suffix's window mutations. Engine replay was
         # RecoveryManager's job (everything past the checkpoint seq);
         # service windows were snapshotted at ``last_fed_seq`` which can
@@ -401,11 +425,9 @@ class QueryHost:
         for update in updates:
             if update.seq > fed:
                 self.windows.apply(update)
-        for seq, deltas in restored.replayed:
-            self.delta_log.append({
-                "seq": seq,
-                "deltas": [_jsonable_delta(d) for d in deltas],
-            })
+        replayed = log_entries(restored.replayed)
+        self.delta_log.extend(replayed)
+        self.journal.append(replayed)
         self._trim_delta_log()
         self.next_seq = max(self.next_seq, restored.last_seq + 1)
         self.processed_seq = restored.last_seq
@@ -453,9 +475,7 @@ class QueryHost:
             )
         self.queue.put(_IngestBatch(updates, time.monotonic()))
         self._evaluate_tiers()
-        self.registry.counter(
-            "repro_service_ingest_updates_total", {"query": self.name}
-        ).inc(len(updates))
+        self._ingest_counter.inc(len(updates))
         return ("accepted", updates, wal_future)
 
     def _reject_metric(self, reason: str) -> None:
@@ -493,9 +513,7 @@ class QueryHost:
                 # A poison batch must not kill the worker: count it,
                 # release its capacity, and keep serving.
                 self.engine_errors += 1
-                self.registry.counter(
-                    "repro_service_engine_errors_total", {"query": self.name}
-                ).inc()
+                self._engine_error_counter.inc()
                 per_update = None
             if per_update is not None:
                 self._publish(batch, per_update)
@@ -506,12 +524,7 @@ class QueryHost:
                 bool(resilience is not None and resilience.degraded)
             )
             self._evaluate_tiers()
-            latency = time.monotonic() - batch.enqueued_at
-            self.registry.histogram(
-                "repro_service_delta_latency_seconds",
-                {"query": self.name},
-                buckets=SECONDS_BUCKETS,
-            ).observe(latency)
+            self._delta_latency.observe(time.monotonic() - batch.enqueued_at)
             self._since_checkpoint += len(batch.updates)
             if (
                 self.wal is not None
@@ -529,39 +542,35 @@ class QueryHost:
         return [plan.process(update) for update in updates]
 
     def _publish(self, batch: _IngestBatch, per_update: List[list]) -> None:
-        entries = []
-        for update, deltas in zip(batch.updates, per_update):
-            entry = {
-                "seq": update.seq,
-                "deltas": [_jsonable_delta(d) for d in deltas],
-            }
-            self.delta_log.append(entry)
-            if entry["deltas"]:
-                entries.append(entry)
+        entries = log_entries(
+            (update.seq, deltas)
+            for update, deltas in zip(batch.updates, per_update)
+        )
+        self.delta_log.extend(entries)
         self._trim_delta_log()
+        if self.journal is not None:
+            # Nobody waits on the append: the checkpoint that must cover
+            # it queues behind it on the same executor and fsyncs.
+            self._wal_exec.submit(self.journal.append, entries)
+        emitted = [entry for entry in entries if entry["deltas"]]
         if self.tiers.shedding_deltas or self.tiers.subscriptions_paused:
             # Degraded: drop the fan-out, leave a gap notice for each
             # subscriber. The delta log keeps everything — clients can
             # re-fetch via GET /results once the tier recovers.
-            self.deltas_shed += sum(len(e["deltas"]) for e in entries)
+            self.deltas_shed += sum(len(e["deltas"]) for e in emitted)
             for subscriber in self.subscribers:
                 subscriber.gap = True
             return
-        if not entries:
+        if not emitted or not self.subscribers:
             return
-        frame = {
-            "type": "deltas",
-            "query": self.name,
-            "seq_last": batch.updates[-1].seq,
-            "entries": entries,
-        }
+        frame = DeltaFrame(self.name, batch.updates[-1].seq, emitted)
         for subscriber in self.subscribers:
             subscriber.offer(frame)
 
     def _trim_delta_log(self) -> None:
-        while len(self.delta_log) > self.config.delta_log_capacity:
-            self.delta_log.popleft()
-            self.delta_trimmed += 1
+        self.delta_trimmed += self.delta_log.trim(
+            self.config.delta_log_capacity
+        )
 
     def _evaluate_tiers(self) -> None:
         tier = self.tiers.update(
@@ -594,7 +603,6 @@ class QueryHost:
             "service": {
                 "windows": self.windows.state(),
                 "next_seq": self.next_seq,
-                "delta_log": list(self.delta_log),
                 "delta_trimmed": self.delta_trimmed,
             }
         }
@@ -613,8 +621,10 @@ class QueryHost:
     def _checkpoint_job(self, last_seq: int, runner_state: dict) -> str:
         # WAL first: a checkpoint must never be newer than the durable
         # log. FIFO executor ordering already queued us behind every
-        # pending append.
+        # pending append. The delta journal likewise: the log through
+        # last_seq is not in the payload, so it must be durable first.
         self.wal.sync()
+        self.journal.sync(self.config.delta_log_capacity)
         payload = build_payload(
             self.plan, self.recovery_config.cache_mode, last_seq, runner_state
         )
@@ -662,7 +672,9 @@ class QueryHost:
                     self._wal_exec, self._checkpoint_job,
                     self.processed_seq, state,
                 )
-            await self._loop.run_in_executor(self._wal_exec, self.wal.close)
+            await self._loop.run_in_executor(
+                self._wal_exec, self._close_files
+            )
         ctx.obs.decisions.record(
             ctx.clock.now_us,
             DRAIN,
@@ -675,6 +687,10 @@ class QueryHost:
             subscriber.offer(_CLOSE_FRAME)  # type: ignore[arg-type]
         return drained
 
+    def _close_files(self) -> None:
+        self.wal.close()
+        self.journal.close()
+
     def kill(self) -> None:
         """Crash simulation: lose everything past the last fsync."""
         self.draining = True
@@ -682,18 +698,15 @@ class QueryHost:
             self.worker.cancel()
         if self.wal is not None:
             self.wal.abandon()
+            # Nothing past the last checkpoint needs to survive in the
+            # journal (replay regenerates it); just release the file.
+            self.journal.close()
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def results_since(self, since_seq: int, limit: int) -> List[dict]:
-        out = []
-        for entry in self.delta_log:
-            if entry["seq"] > since_seq:
-                out.append(entry)
-                if len(out) >= limit:
-                    break
-        return out
+        return self.delta_log.since(since_seq, limit)
 
     def status(self) -> dict:
         resilience = getattr(self.plan, "resilience", None)
@@ -737,6 +750,11 @@ class StreamingService:
         # SharedQueryMember duck-typing the QueryHost surface.
         self.group = None
         self.registry = MetricsRegistry()
+        # Bound once: every connection bumps one of these.
+        self._request_counters: Dict[int, object] = {}
+        self._request_seconds = self.registry.histogram(
+            "repro_service_request_seconds", buckets=SECONDS_BUCKETS
+        )
         self.started = False
         self.draining = False
         self._server: Optional[asyncio.base_events.Server] = None
@@ -773,7 +791,6 @@ class StreamingService:
                 self.config, self._loop, self._engine_exec, self.registry,
                 windows_cls=_ServiceWindows,
                 batch_cls=_IngestBatch,
-                jsonable_delta=_jsonable_delta,
                 drain_sentinel=_DRAIN_SENTINEL,
                 close_frame=_CLOSE_FRAME,
                 seconds_buckets=SECONDS_BUCKETS,
@@ -925,12 +942,16 @@ class StreamingService:
             # rather than let the streams callback log a traceback.
             pass
         finally:
-            self.registry.counter(
-                "repro_service_requests_total", {"status": str(status)}
-            ).inc()
-            self.registry.histogram(
-                "repro_service_request_seconds", buckets=SECONDS_BUCKETS
-            ).observe(time.monotonic() - started)
+            counter = self._request_counters.get(status)
+            if counter is None:
+                counter = self._request_counters[status] = (
+                    self.registry.counter(
+                        "repro_service_requests_total",
+                        {"status": str(status)},
+                    )
+                )
+            counter.inc()
+            self._request_seconds.observe(time.monotonic() - started)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -1156,9 +1177,7 @@ class StreamingService:
                 "query": host.name,
                 "entries": entries,
                 "processed_seq": host.processed_seq,
-                "trimmed_through": (
-                    host.delta_log[0]["seq"] - 1 if host.delta_log else -1
-                ),
+                "trimmed_through": host.delta_log.trimmed_through,
             },
         ), 200
 
@@ -1212,13 +1231,9 @@ class StreamingService:
             if e["deltas"]
         ]
         if backfill:
-            subscriber.offer({
-                "type": "deltas",
-                "query": host.name,
-                "seq_last": backfill[-1]["seq"],
-                "entries": backfill,
-                "backfill": True,
-            })
+            subscriber.offer(DeltaFrame(
+                host.name, backfill[-1]["seq"], backfill, backfill=True
+            ))
         send_task = self._loop.create_task(
             self._subscriber_sender(subscriber, writer)
         )
@@ -1246,7 +1261,7 @@ class StreamingService:
                     writer.write(encode_ws_frame(OP_CLOSE, b""))
                     await writer.drain()
                     return
-                if frame.get("type") == "deltas":
+                if isinstance(frame, DeltaFrame):
                     if subscriber.credits <= 0:
                         # Flow control: tell the client we are waiting,
                         # then block until it grants more credits.
@@ -1260,13 +1275,11 @@ class StreamingService:
                         subscriber.credit_event.clear()
                         await subscriber.credit_event.wait()
                     subscriber.credits -= 1
-                    if subscriber.gap:
-                        frame = dict(frame, gap=True)
-                        subscriber.gap = False
-                writer.write(encode_ws_frame(
-                    OP_TEXT,
-                    json.dumps(frame, separators=(",", ":")).encode("utf-8"),
-                ))
+                    data = frame.encode(gap=subscriber.gap)
+                    subscriber.gap = False
+                else:
+                    data = encode_json(frame).encode("utf-8")
+                writer.write(encode_ws_frame(OP_TEXT, data))
                 await writer.drain()
                 subscriber.sent += 1
         except (ConnectionResetError, BrokenPipeError, OSError):

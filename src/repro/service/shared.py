@@ -37,6 +37,7 @@ from repro.service.backpressure import (
     TIER_PAUSE_SUBSCRIPTIONS,
 )
 from repro.service.config import ServiceConfig
+from repro.service.deltas import DeltaFrame, DeltaLog, jsonable_delta
 from repro.streams.events import Update
 
 
@@ -85,11 +86,15 @@ class SharedQueryMember:
             group.config.tenant_burst,
             degraded_rate_factor=group.config.degraded_rate_factor,
         )
-        self.delta_log: "list" = []
+        self.delta_log = DeltaLog()
         self.delta_trimmed = 0
         self.deltas_shed = 0
         self.acked_seq = -1
         self.subscribers: List = []
+        # Instruments bound once; the per-batch path only bumps them.
+        self._ingest_counter = group.registry.counter(
+            "repro_service_ingest_updates_total", {"query": name}
+        )
 
     # -- QueryHost surface -------------------------------------------------
     @property
@@ -116,20 +121,12 @@ class SharedQueryMember:
         return self.group.try_ingest(self, tenant, arrivals)
 
     def results_since(self, since_seq: int, limit: int) -> List[dict]:
-        out = []
-        for entry in self.delta_log:
-            if entry["seq"] > since_seq:
-                out.append(entry)
-                if len(out) >= limit:
-                    break
-        return out
+        return self.delta_log.since(since_seq, limit)
 
     def _trim_delta_log(self) -> None:
-        capacity = self.group.config.delta_log_capacity
-        excess = len(self.delta_log) - capacity
-        if excess > 0:
-            del self.delta_log[:excess]
-            self.delta_trimmed += excess
+        self.delta_trimmed += self.delta_log.trim(
+            self.group.config.delta_log_capacity
+        )
 
     async def drain(self, deadline_s: float) -> bool:
         return await self.group.drain(deadline_s)
@@ -179,7 +176,6 @@ class SharedQueryGroup:
         registry,
         windows_cls,
         batch_cls,
-        jsonable_delta,
         drain_sentinel,
         close_frame,
         seconds_buckets,
@@ -191,10 +187,16 @@ class SharedQueryGroup:
         # Injected from repro.service.server to avoid an import cycle.
         self._windows_cls = windows_cls
         self._batch_cls = batch_cls
-        self._jsonable_delta = jsonable_delta
         self._drain_sentinel = drain_sentinel
         self._close_frame = close_frame
-        self._seconds_buckets = seconds_buckets
+        labels = {"query": "_shared"}
+        self._engine_error_counter = registry.counter(
+            "repro_service_engine_errors_total", labels
+        )
+        self._delta_latency = registry.histogram(
+            "repro_service_delta_latency_seconds", labels,
+            buckets=seconds_buckets,
+        )
 
         engine_cfg = config.engine
         tuning = engine_cfg.acaching_config()
@@ -292,9 +294,7 @@ class SharedQueryGroup:
         self.queue.cancel_reservation(worst_case - len(updates))
         self.queue.put(self._batch_cls(updates, time.monotonic()))
         self._evaluate_tiers()
-        self.registry.counter(
-            "repro_service_ingest_updates_total", {"query": member.name}
-        ).inc(len(updates))
+        member._ingest_counter.inc(len(updates))
         return ("accepted", updates, None)
 
     def _reject_metric(self, member: SharedQueryMember, reason: str) -> None:
@@ -322,22 +322,14 @@ class SharedQueryGroup:
                 )
             except Exception:
                 self.engine_errors += 1
-                self.registry.counter(
-                    "repro_service_engine_errors_total",
-                    {"query": "_shared"},
-                ).inc()
+                self._engine_error_counter.inc()
                 per_update = None
             if per_update is not None:
                 self._publish(batch, per_update)
             self.processed_seq = batch.updates[-1].seq
             self.queue.release(len(batch.updates))
             self._evaluate_tiers()
-            latency = time.monotonic() - batch.enqueued_at
-            self.registry.histogram(
-                "repro_service_delta_latency_seconds",
-                {"query": "_shared"},
-                buckets=self._seconds_buckets,
-            ).observe(latency)
+            self._delta_latency.observe(time.monotonic() - batch.enqueued_at)
 
     def _process_job(
         self, updates: List[Update]
@@ -357,10 +349,10 @@ class SharedQueryGroup:
                     continue
                 entry = {
                     "seq": update.seq,
-                    "deltas": [self._jsonable_delta(d) for d in deltas],
+                    "deltas": [jsonable_delta(d) for d in deltas],
                 }
                 member.delta_log.append(entry)
-                if entry["deltas"]:
+                if deltas:
                     frames.setdefault(query_id, []).append(entry)
         shedding = (
             self.tiers.shedding_deltas or self.tiers.subscriptions_paused
@@ -373,12 +365,9 @@ class SharedQueryGroup:
                 for subscriber in member.subscribers:
                     subscriber.gap = True
                 continue
-            frame = {
-                "type": "deltas",
-                "query": query_id,
-                "seq_last": batch.updates[-1].seq,
-                "entries": entries,
-            }
+            if not member.subscribers:
+                continue
+            frame = DeltaFrame(query_id, batch.updates[-1].seq, entries)
             for subscriber in member.subscribers:
                 subscriber.offer(frame)
         for member in self.members.values():

@@ -376,16 +376,19 @@ class TestSharedService:
             client.register("q1", star)
             client.register("q2", star)
             for i in range(40):
-                status, _ = client.ingest(
+                status, ack = client.ingest(
                     "q1",
                     [("R1", [i % 5]), ("R2", [i % 5]), ("R3", [i % 5])],
                     tenant="t1",
                 )
                 assert status == 202
+            # Every accepted update must be processed before the two
+            # members' logs are compared, or the reads race the worker.
             deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline:
-                if client.status("q2")["processed_seq"] >= 0:
-                    break
+            while (
+                client.status("q2")["processed_seq"] < ack["seq_last"]
+            ):
+                assert time.monotonic() < deadline, "engine never caught up"
                 time.sleep(0.02)
             # Both members see the shared stream's results.
             r1 = client.results("q1", since_seq=-1, limit=10_000)
