@@ -7,7 +7,7 @@ compares the two on the bursty Figure 12 workload, where adaptation
 actually matters.
 """
 
-from repro.api import EngineConfig, build_adaptive_engine
+from repro.api import EngineConfig, Session
 from repro.core.acaching import ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
@@ -31,8 +31,9 @@ def run(incremental: bool, arrivals: int):
         ordering=OrderingConfig(interval_updates=1500),
         incremental_reoptimizer=incremental,
     )
-    engine = build_adaptive_engine(workload, EngineConfig(tuning=config))
-    engine.run(workload.updates(arrivals))
+    session = Session.adaptive(workload, EngineConfig(tuning=config))
+    session.run(workload.updates(arrivals))
+    engine = session.plan
     ctx = engine.ctx
     result = {
         "throughput": ctx.metrics.throughput(ctx.clock.now_seconds),

@@ -6,7 +6,7 @@ R⋈S cache of Figure 6 with both stores, comparing hit rates and
 replacement churn when the store is deliberately undersized.
 """
 
-from repro.api import EngineConfig, build_static_plan
+from repro.api import EngineConfig, Session
 from repro.caching.store import LRUStore
 from repro.streams.workloads import fig6_workload
 
@@ -15,7 +15,7 @@ CHAIN_ORDERS = {"T": ("S", "R"), "R": ("S", "T"), "S": ("R", "T")}
 
 def run_with_store(store_factory, arrivals=8000, buckets=48):
     workload = fig6_workload(5, window=128)
-    plan = build_static_plan(
+    session = Session.static(
         workload,
         EngineConfig(
             orders=CHAIN_ORDERS,
@@ -23,10 +23,11 @@ def run_with_store(store_factory, arrivals=8000, buckets=48):
             buckets=buckets,
         ),
     )
+    plan = session.plan
     cache = plan.wiring.wired["T:0-1p"].cache
     if store_factory is not None:
         cache.store = store_factory(buckets)
-    plan.run(workload.updates(arrivals))
+    session.run(workload.updates(arrivals))
     ctx = plan.ctx
     return {
         "throughput": ctx.metrics.throughput(ctx.clock.now_seconds),

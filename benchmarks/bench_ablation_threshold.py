@@ -6,7 +6,7 @@ sweeps p on the Figure 6 workload, recording throughput and the number of
 offline selections actually run.
 """
 
-from repro.api import EngineConfig, build_adaptive_engine
+from repro.api import EngineConfig, Session
 from repro.core.acaching import ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
@@ -27,8 +27,9 @@ def run_with_threshold(p, arrivals):
         ),
         ordering=OrderingConfig(interval_updates=10**9),
     )
-    engine = build_adaptive_engine(workload, EngineConfig(tuning=config))
-    engine.run(workload.updates(arrivals))
+    session = Session.adaptive(workload, EngineConfig(tuning=config))
+    session.run(workload.updates(arrivals))
+    engine = session.plan
     ctx = engine.ctx
     return {
         "throughput": ctx.metrics.throughput(ctx.clock.now_seconds),

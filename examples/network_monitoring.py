@@ -18,14 +18,15 @@ Run:  python examples/network_monitoring.py
 import random
 
 from repro import (
-    ACaching,
     ACachingConfig,
+    EngineConfig,
     JoinGraph,
     ProfilerConfig,
     ReoptimizerConfig,
     Schema,
     Sign,
     Workload,
+    build_adaptive_engine,
 )
 from repro.ordering.agreedy import OrderingConfig
 from repro.streams.generators import StreamSpec, UniformValues
@@ -75,15 +76,17 @@ def build_workload(burst_after: int) -> Workload:
 def main() -> None:
     total, burst_after = 40_000, 20_000
     workload = build_workload(burst_after)
-    engine = ACaching.for_workload(
+    engine = build_adaptive_engine(
         workload,
-        ACachingConfig(
-            profiler=ProfilerConfig(window=5, bloom_window_tuples=256),
-            reoptimizer=ReoptimizerConfig(
-                reopt_interval_updates=3000, profiling_phase_updates=500,
-                global_quota=6,
-            ),
-            ordering=OrderingConfig(interval_updates=1500),
+        EngineConfig(
+            tuning=ACachingConfig(
+                profiler=ProfilerConfig(window=5, bloom_window_tuples=256),
+                reoptimizer=ReoptimizerConfig(
+                    reopt_interval_updates=3000, profiling_phase_updates=500,
+                    global_quota=6,
+                ),
+                ordering=OrderingConfig(interval_updates=1500),
+            )
         ),
     )
 

@@ -8,12 +8,13 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    ACaching,
     ACachingConfig,
-    MJoinExecutor,
+    EngineConfig,
     ProfilerConfig,
     ReoptimizerConfig,
+    Session,
     Sign,
+    build_adaptive_engine,
     three_way_chain,
 )
 
@@ -34,7 +35,7 @@ def main() -> None:
             reopt_interval_updates=5000, profiling_phase_updates=400
         ),
     )
-    engine = ACaching.for_workload(workload, config)
+    engine = build_adaptive_engine(workload, EngineConfig(tuning=config))
     inserted = deleted = 0
     for update in workload.updates(30_000):
         for delta in engine.process(update):
@@ -55,9 +56,9 @@ def main() -> None:
     baseline_workload = three_way_chain(
         t_multiplicity=5.0, window_r=96, window_s=96
     )
-    baseline = MJoinExecutor(baseline_workload.graph)
-    baseline.run(baseline_workload.updates(30_000))
-    rate = baseline.ctx.metrics.throughput(baseline.ctx.clock.now_seconds)
+    baseline = Session.static(baseline_workload)
+    baseline.run(arrivals=30_000)
+    rate = baseline.throughput()
     print("\nCache-free MJoin baseline")
     print(f"  throughput        : {rate:,.0f} tuples/sec")
     print(

@@ -68,7 +68,6 @@ from repro.engine.runtime import (
     StaticPlan,
     available_candidates,
     run_with_series,
-    static_plan,
 )
 from repro.errors import (
     CacheConsistencyError,
@@ -198,7 +197,6 @@ __all__ = [
     "select",
     "shared_groups",
     "star_graph",
-    "static_plan",
     "table2_workload",
     "three_way_chain",
 ]

@@ -15,8 +15,8 @@ module is the one place those knobs live:
   drivers that honor the config's batch size and shard count.
 
 Everything in-repo (figures, chaos, parallel specs, the CLI) builds
-engines through this module; the old keyword entry points remain as thin
-shims that emit :class:`DeprecationWarning`.
+engines through this module, and every in-process run feeds its engine
+through :class:`repro.engine.drive.Driver`.
 
 >>> from repro.api import EngineConfig, Session
 >>> session = Session.adaptive(workload, EngineConfig(batch_size=64))
@@ -26,7 +26,6 @@ shims that emit :class:`DeprecationWarning`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
@@ -41,6 +40,7 @@ from typing import (
 
 from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.drive import drive
 from repro.errors import ConfigError, PlanError
 from repro.faults.resilience import ResilienceConfig
 from repro.streams.events import DeltaBatch, OutputDelta, Update
@@ -438,11 +438,7 @@ class EngineConfig:
 
 
 def build_static_plan(workload: Workload, config: Optional[EngineConfig] = None):
-    """Build a :class:`~repro.engine.runtime.StaticPlan` from a config.
-
-    The non-deprecated replacement for the legacy keyword form of
-    :func:`repro.engine.runtime.static_plan`.
-    """
+    """Build a :class:`~repro.engine.runtime.StaticPlan` from a config."""
     from repro.engine.runtime import _build_static_plan
 
     config = config if config is not None else EngineConfig()
@@ -459,10 +455,7 @@ def build_static_plan(workload: Workload, config: Optional[EngineConfig] = None)
 def build_adaptive_engine(
     workload: Workload, config: Optional[EngineConfig] = None
 ) -> ACaching:
-    """Build the full A-Caching engine from a config.
-
-    The non-deprecated replacement for ``ACaching.for_workload``.
-    """
+    """Build the full A-Caching engine from a config."""
     config = config if config is not None else EngineConfig()
     return ACaching(
         workload.graph,
@@ -617,48 +610,24 @@ class Session:
         self._export_obs()
         return outputs
 
-    def _run_serial(self, updates: Iterable[Update]) -> List[OutputDelta]:
-        if self.config.wal_dir is not None:
-            return self._run_recorded(updates)
-        return self.plan.run(updates, batch_size=self.config.batch_size)
-
-    def _run_recorded(
+    def _run_serial(
         self, updates: Iterable[Update], skip_through: int = -1
     ) -> List[OutputDelta]:
-        """Drive ``updates`` journaled: WAL every update, checkpoint at
-        update/flush boundaries. ``skip_through`` drops the prefix a
-        restore already covered (checkpoint + replayed WAL)."""
-        from repro.recovery.manager import Recorder
+        """Drive ``updates`` through the plan; with ``wal_dir`` set, every
+        update is journaled and checkpoints land at safe points.
+        ``skip_through`` drops the prefix a restore already covered
+        (checkpoint + replayed WAL)."""
+        recorder = None
+        if self.config.wal_dir is not None:
+            from repro.recovery.manager import Recorder
 
-        recorder = Recorder(self.plan, self.config.recovery())
-        outputs: List[OutputDelta] = []
-        pending: List[Update] = []
-
-        def flush() -> None:
-            if not pending:
-                return
-            last_seq = pending[-1].seq
-            for deltas in self.plan.process_batch(DeltaBatch(pending)):
-                outputs.extend(deltas)
-            recorder.mark_processed(len(pending))
-            pending.clear()
-            recorder.maybe_checkpoint(last_seq)
-
-        for update in updates:
-            if update.seq <= skip_through:
-                continue
-            recorder.log(update)
-            if self.config.batch_size == 1:
-                outputs.extend(self.plan.process(update))
-                recorder.mark_processed()
-                recorder.maybe_checkpoint(update.seq)
-            else:
-                pending.append(update)
-                if len(pending) >= self.config.batch_size:
-                    flush()
-        flush()
-        recorder.close()
-        return outputs
+            recorder = Recorder(self.plan, self.config.recovery())
+        return drive(
+            self.plan,
+            (update for update in updates if update.seq > skip_through),
+            self.config.batch_size,
+            recorder,
+        )
 
     # ------------------------------------------------------------------
     # recovery
@@ -696,7 +665,7 @@ class Session:
             delta for _seq, deltas in restored.replayed for delta in deltas
         ]
         outputs.extend(
-            self._run_recorded(
+            self._run_serial(
                 self.workload.updates(arrivals),
                 skip_through=restored.last_seq,
             )
@@ -854,22 +823,6 @@ class Session:
             self.last_telemetry = run.merged_telemetry()
             self._export_merged_obs(self.last_telemetry)
         return run
-
-    def run_sharded(
-        self, arrivals: Optional[int] = None, crashes=(), **measurement
-    ):
-        """Deprecated: :meth:`execute` is the structured runner now (and
-        :meth:`run` dispatches on the config's sharding by itself)."""
-        warnings.warn(
-            "Session.run_sharded(...) is deprecated; use "
-            "Session.execute(...) for the structured run, or "
-            "Session.run(), which dispatches on the config's sharding",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(
-            arrivals=arrivals, crashes=crashes, **measurement
-        )
 
     # ------------------------------------------------------------------
     # introspection / observability

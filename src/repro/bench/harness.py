@@ -6,6 +6,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.engine.drive import drive
 from repro.streams.workloads import Workload
 
 
@@ -70,7 +71,7 @@ def format_rows(
 
 def run_static(plan, workload: Workload, arrivals: int) -> float:
     """Run a static plan to completion; returns updates/sec."""
-    plan.run(workload.updates(arrivals))
+    drive(plan, workload.updates(arrivals))
     ctx = plan.ctx
     return ctx.metrics.throughput(ctx.clock.now_seconds)
 

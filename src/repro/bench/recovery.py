@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro.api import Session
+from repro.engine.drive import drive
 from repro.errors import ConfigError
 from repro.parallel.bench import bench_engine_config
 from repro.recovery.manager import Recorder, RecoveryConfig
@@ -71,18 +72,8 @@ class RecoveryBenchReport:
 
 def _drive(session: Session, arrivals: int, recorder=None) -> int:
     """Run per-update, optionally journaled; returns outputs emitted."""
-    outputs = 0
-    plan = session.plan
-    for update in session.workload.updates(arrivals):
-        if recorder is not None:
-            recorder.log(update)
-        outputs += len(plan.process(update))
-        if recorder is not None:
-            recorder.mark_processed()
-            recorder.maybe_checkpoint(update.seq)
-    if recorder is not None:
-        recorder.close()
-    return outputs
+    updates = session.workload.updates(arrivals)
+    return len(drive(session.plan, updates, recorder=recorder))
 
 
 def run_recovery_bench(

@@ -15,7 +15,7 @@ pipelines (A-Greedy), selecting caches, and allocating memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.memory import MemoryAllocator
 from repro.core.profiler import Profiler, ProfilerConfig
@@ -23,16 +23,12 @@ from repro.core.wiring import CacheWiring
 from repro.errors import ConfigError
 from repro.relations.relation import Relation
 from repro.faults.resilience import ResilienceConfig, ResilienceController
-from repro.core.reoptimizer import (
-    CandidateState,
-    Reoptimizer,
-    ReoptimizerConfig,
-)
+from repro.core.reoptimizer import Reoptimizer, ReoptimizerConfig
 from repro.mjoin.executor import MJoinExecutor
 from repro.operators.base import ExecContext
 from repro.ordering.agreedy import AGreedyOrderer, OrderingConfig
 from repro.relations.predicates import JoinGraph
-from repro.streams.events import DeltaBatch, OutputDelta, Update, batched
+from repro.streams.events import DeltaBatch, OutputDelta, Update
 
 
 @dataclass
@@ -119,30 +115,6 @@ class ACaching:
             )
         self._updates_at_memory_check = 0
 
-    @classmethod
-    def for_workload(
-        cls, workload, config: Optional[ACachingConfig] = None
-    ) -> "ACaching":
-        """Deprecated; build engines through :mod:`repro.api` instead.
-
-        .. deprecated::
-           Use ``Session.adaptive(workload, EngineConfig(tuning=...))``
-           or ``repro.api.build_adaptive_engine``.
-        """
-        import warnings
-
-        warnings.warn(
-            "ACaching.for_workload(...) is deprecated; build engines via "
-            "repro.api.Session.adaptive(workload, EngineConfig(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls(
-            workload.graph,
-            indexed_attributes=workload.indexed_attributes,
-            config=config,
-        )
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -187,20 +159,6 @@ class ACaching:
         ):
             self._updates_at_memory_check = metrics.updates_processed
             self.reoptimizer.enforce_memory()
-
-    def run(
-        self, updates: Iterable[Update], batch_size: int = 1
-    ) -> List[OutputDelta]:
-        """Process a whole update sequence; returns all result deltas."""
-        outputs: List[OutputDelta] = []
-        if batch_size <= 1:
-            for update in updates:
-                outputs.extend(self.process(update))
-            return outputs
-        for batch in batched(updates, batch_size):
-            for per_update in self.process_batch(batch):
-                outputs.extend(per_update)
-        return outputs
 
     # ------------------------------------------------------------------
     # introspection

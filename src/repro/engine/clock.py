@@ -42,7 +42,6 @@ class CostModel:
     cache_store_tuple: float = 0.5 # store one composite reference in an entry
     cache_maintain_check: float = 0.4  # maintenance key hash + bucket check
     cache_maintain: float = 1.2    # applying one maintenance insert/delete
-    witness_count_probe: float = 4.0  # one index count for X⋉Y witness counts
 
     # Micro-batch execution only (batch size > 1): reusing a memoized
     # join-probe result is one hash of the already-assembled constraint

@@ -8,15 +8,16 @@ throughput sampling along a run (the time axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.candidates import enumerate_candidates
 from repro.core.wiring import CacheWiring
+from repro.engine.drive import Driver
 from repro.errors import PlanError
 from repro.faults.resilience import ResilienceConfig, ResilienceController
 from repro.mjoin.executor import MJoinExecutor
-from repro.streams.events import DeltaBatch, Sign, Update, batched
+from repro.streams.events import DeltaBatch, Update
 from repro.streams.workloads import Workload
 
 
@@ -37,10 +38,6 @@ class StaticPlan:
         """Process one micro-batch; returns per-update delta lists."""
         return self.executor.process_batch(batch)
 
-    def run(self, updates: Iterable[Update], batch_size: int = 1):
-        """Process a whole update sequence."""
-        return self.executor.run(updates, batch_size=batch_size)
-
     @property
     def ctx(self):
         """The execution context (clock, cost model, metrics)."""
@@ -60,7 +57,7 @@ def _build_static_plan(
     Candidate ids follow :mod:`repro.core.candidates` (``"T:0-1p"``,
     ``"R:0-1g"``, …); list them via :func:`available_candidates`. This is
     the construction core behind :func:`repro.api.build_static_plan` and
-    :meth:`repro.api.Session.static`; prefer those entry points.
+    :meth:`repro.api.Session.static`; build plans through those.
     """
     executor = MJoinExecutor(
         workload.graph,
@@ -99,38 +96,6 @@ def _build_static_plan(
         wiring=wiring,
         used=tuple(candidate_ids),
         resilience=controller,
-    )
-
-
-def static_plan(
-    workload: Workload,
-    orders: Optional[Dict[str, Sequence[str]]] = None,
-    candidate_ids: Sequence[str] = (),
-    global_quota: int = 8,
-    buckets: int = 512,
-    resilience: Optional[ResilienceConfig] = None,
-) -> StaticPlan:
-    """Deprecated keyword entry point; use :mod:`repro.api` instead.
-
-    .. deprecated::
-       Build static plans through ``Session.static(workload,
-       EngineConfig(...))`` or ``repro.api.build_static_plan``.
-    """
-    import warnings
-
-    warnings.warn(
-        "static_plan(...) is deprecated; build plans via "
-        "repro.api.Session.static(workload, EngineConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_static_plan(
-        workload,
-        orders=orders,
-        candidate_ids=candidate_ids,
-        global_quota=global_quota,
-        buckets=buckets,
-        resilience=resilience,
     )
 
 
@@ -186,32 +151,38 @@ def run_with_series(
 
     With ``batch_size > 1`` updates are driven through
     ``plan.process_batch`` in consecutive micro-batches (results are
-    identical; sampling windows are checked at batch boundaries). A
-    trailing partial window is always flushed as a final point so short
-    runs and non-divisible ``sample_every_updates`` aren't truncated.
+    identical; sampling windows close at batch boundaries). A trailing
+    partial window is always flushed as a final point so short runs and
+    non-divisible ``sample_every_updates`` aren't truncated.
     """
     series: List[SeriesPoint] = []
     ctx = plan.ctx
     resilience = getattr(plan, "resilience", None)
     x = 0
-    state = {
-        "updates": ctx.metrics.updates_processed,
-        "time": ctx.clock.now_seconds,
-        "probes": ctx.metrics.cache_probes,
-        "hits": ctx.metrics.cache_hits,
-        "seq": ctx.obs.decisions.last_seq,
-        "shed": resilience.shed_total if resilience else 0,
-    }
+
+    def window_start() -> dict:
+        return {
+            "updates": ctx.metrics.updates_processed,
+            "time": ctx.clock.now_seconds,
+            "probes": ctx.metrics.cache_probes,
+            "hits": ctx.metrics.cache_hits,
+            "seq": ctx.obs.decisions.last_seq,
+            "shed": resilience.shed_total if resilience else 0,
+        }
+
+    state = window_start()
 
     def emit_point() -> None:
+        nonlocal state
         processed = ctx.metrics.updates_processed
         now = ctx.clock.now_seconds
         span = max(1e-12, now - state["time"])
         probes = ctx.metrics.cache_probes - state["probes"]
         hits = ctx.metrics.cache_hits - state["hits"]
         decisions = tuple(ctx.obs.decisions.since(state["seq"]))
-        shed_now = resilience.shed_total if resilience else 0
-        shed_in_window = shed_now - state["shed"]
+        shed_in_window = (
+            resilience.shed_total - state["shed"] if resilience else 0
+        )
         series.append(
             SeriesPoint(
                 x=x,
@@ -230,35 +201,21 @@ def run_with_series(
                 shard_count=1,
             )
         )
-        state["updates"] = processed
-        state["time"] = now
-        state["probes"] = ctx.metrics.cache_probes
-        state["hits"] = ctx.metrics.cache_hits
-        state["seq"] = ctx.obs.decisions.last_seq
-        state["shed"] = shed_now
+        state = window_start()
 
-    if batch_size > 1:
-        for batch in batched(updates, batch_size):
-            plan.process_batch(batch)
-            if x_of is None:
-                x += len(batch)
-            else:
-                x += sum(1 for u in batch if x_of(u))
-            if (
-                ctx.metrics.updates_processed - state["updates"]
-                >= sample_every_updates
-            ):
-                emit_point()
-    else:
-        for update in updates:
-            plan.process(update)
-            if x_of is None or x_of(update):
-                x += 1
-            if (
-                ctx.metrics.updates_processed - state["updates"]
-                >= sample_every_updates
-            ):
-                emit_point()
+    driver = Driver(plan, batch_size=batch_size)
+    for update in updates:
+        driver.offer(update)
+        if x_of is None or x_of(update):
+            x += 1
+        # Only a safe point moves updates_processed, so a sample is taken
+        # at an update (or flushed-batch) boundary.
+        if (
+            ctx.metrics.updates_processed - state["updates"]
+            >= sample_every_updates
+        ):
+            emit_point()
+    driver.flush()
     # Flush the trailing partial window (if any updates landed in it).
     if ctx.metrics.updates_processed > state["updates"]:
         emit_point()

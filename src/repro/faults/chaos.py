@@ -23,12 +23,13 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.api import EngineConfig, build_adaptive_engine
 from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.drive import Driver, drive
 from repro.errors import ResilienceError
 from repro.faults.auditor import AuditorConfig
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -37,7 +38,7 @@ from repro.faults.shedding import SheddingConfig
 from repro.ordering.agreedy import OrderingConfig
 from repro.parallel.engine import ParallelConfig, run_sharded
 from repro.parallel.spec import ExperimentSpec
-from repro.streams.events import OutputDelta, batched, canonical_delta
+from repro.streams.events import canonical_delta
 from repro.streams.tuples import CompositeTuple, Row
 from repro.streams.workloads import (
     Workload,
@@ -196,26 +197,12 @@ def _engine(workload: Workload, resilience: Optional[ResilienceConfig]) -> ACach
     )
 
 
-def _canonical(delta: OutputDelta) -> Tuple:
-    """A rid-free identity for one result delta: values, not identities,
-    so injected rows matter only when they change actual join results."""
-    return canonical_delta(delta)
-
-
 def _drive(
     engine: ACaching, updates: Iterator, batch_size: int = 1
 ) -> Counter:
-    outputs: Counter = Counter()
-    if batch_size > 1:
-        for batch in batched(updates, batch_size):
-            for deltas in engine.process_batch(batch):
-                for delta in deltas:
-                    outputs[_canonical(delta)] += 1
-        return outputs
-    for update in updates:
-        for delta in engine.process(update):
-            outputs[_canonical(delta)] += 1
-    return outputs
+    """The run's rid-free output multiset: values, not identities, so
+    injected rows matter only when they change actual join results."""
+    return Counter(map(canonical_delta, drive(engine, updates, batch_size)))
 
 
 def _poison_one_entry(engine: ACaching) -> bool:
@@ -393,8 +380,13 @@ def run_chaos(
     poisonings = 0
     processed = 0
 
-    def maybe_poison() -> None:
-        nonlocal poisonings
+    def tally(_update, deltas) -> None:
+        # Called at a safe point, so a batched run's poisoning lands at
+        # the first batch boundary past poison_at.
+        nonlocal poisonings, processed
+        for delta in deltas:
+            faulted_outputs[canonical_delta(delta)] += 1
+        processed += 1
         if (
             spec.poison_at is not None
             and poisonings == 0
@@ -403,21 +395,10 @@ def run_chaos(
         ):
             poisonings = 1
 
-    stream = plan.updates(exp.build(total).updates(total))
-    if batch_size > 1:
-        # Poisoning lands at the first batch boundary past poison_at.
-        for batch in batched(stream, batch_size):
-            for deltas in engine.process_batch(batch):
-                for delta in deltas:
-                    faulted_outputs[_canonical(delta)] += 1
-            processed += len(batch)
-            maybe_poison()
-    else:
-        for update in stream:
-            for delta in engine.process(update):
-                faulted_outputs[_canonical(delta)] += 1
-            processed += 1
-            maybe_poison()
+    driver = Driver(engine, tally, batch_size)
+    for update in plan.updates(exp.build(total).updates(total)):
+        driver.offer(update)
+    driver.flush()
 
     missing = clean_outputs - faulted_outputs
     extra = faulted_outputs - clean_outputs

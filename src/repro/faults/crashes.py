@@ -47,9 +47,10 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.api import EngineConfig
+from repro.engine.drive import Driver, drive
 from repro.errors import RecoveryError, ReproError
 from repro.faults.chaos import (
     _build_workload,
@@ -121,17 +122,32 @@ def _seeded_kill_point(seed: int, total_updates: int) -> int:
     return rng.randint(low, high)
 
 
+class _Tally:
+    """A driver sink: canonical output counts plus the processed count,
+    which together are the runner state a checkpoint carries."""
+
+    def __init__(self, state: Optional[dict] = None):
+        state = state or {}
+        self.outputs: Counter = Counter(state.get("canonical") or {})
+        self.processed: int = state.get("processed", 0)
+
+    def __call__(self, _update, deltas) -> None:
+        for delta in deltas:
+            self.outputs[canonical_delta(delta)] += 1
+        self.processed += 1
+
+    def state(self) -> dict:
+        return {"canonical": dict(self.outputs), "processed": self.processed}
+
+
 def _clean_serial(
     experiment: str, total: int
 ) -> Tuple[Counter, Dict[str, list]]:
     """Ground truth: outputs + final windows of an unjournaled run."""
     exp = resolve_experiment(experiment)
     engine = _engine(exp.build(total), None)
-    outputs: Counter = Counter()
-    for update in exp.build(total).updates(total):
-        for delta in engine.process(update):
-            outputs[canonical_delta(delta)] += 1
-    return outputs, _window_rows(engine)
+    deltas = drive(engine, exp.build(total).updates(total))
+    return Counter(map(canonical_delta, deltas)), _window_rows(engine)
 
 
 def _run_recorded_until_crash(
@@ -149,21 +165,12 @@ def _run_recorded_until_crash(
     exp = resolve_experiment(experiment)
     engine = _engine(exp.build(total), None)
     recorder = Recorder(engine, config)
-    outputs: Counter = Counter()
-    processed = 0
+    tally = _Tally()
+    driver = Driver(engine, tally, recorder=recorder, state=tally.state)
     crash_seq = 0
     for update in exp.build(total).updates(total):
-        recorder.log(update)
-        for delta in engine.process(update):
-            outputs[canonical_delta(delta)] += 1
-        processed += 1
-        recorder.mark_processed()
-        if recorder.due():
-            recorder.checkpoint(
-                update.seq,
-                {"canonical": dict(outputs), "processed": processed},
-            )
-        if processed >= kill_at:
+        driver.offer(update)
+        if tally.processed >= kill_at:
             crash_seq = update.seq
             break
     if kind == "during_checkpoint":
@@ -172,10 +179,7 @@ def _run_recorded_until_crash(
         # half its bytes. It must fail its checksum on restore.
         recorder.wal.sync()
         payload = build_payload(
-            engine,
-            config.cache_mode,
-            crash_seq,
-            {"canonical": dict(outputs), "processed": processed},
+            engine, config.cache_mode, crash_seq, tally.state()
         )
         data = encode_snapshot(payload)
         with open(recorder.store.path_for(crash_seq), "wb") as handle:
@@ -198,30 +202,21 @@ def _resume_serial(
     )
     restored = manager.restore()
     engine = restored.plan
-    state = restored.runner_state or {}
-    outputs: Counter = Counter(state.get("canonical") or {})
-    processed = state.get("processed", 0)
-    for _seq, deltas in restored.replayed:
-        for delta in deltas:
-            outputs[canonical_delta(delta)] += 1
-        processed += 1
-    recorder = Recorder(engine, config)
-    recorder.mark_processed(len(restored.replayed))
+    tally = _Tally(restored.runner_state)
+    for seq, deltas in restored.replayed:
+        tally(seq, deltas)
+    driver = Driver(
+        engine,
+        tally,
+        recorder=Recorder(engine, config),
+        state=tally.state,
+        replayed=len(restored.replayed),
+    )
     for update in exp.build(total).updates(total):
-        if update.seq <= restored.last_seq:
-            continue
-        recorder.log(update)
-        for delta in engine.process(update):
-            outputs[canonical_delta(delta)] += 1
-        processed += 1
-        recorder.mark_processed()
-        if recorder.due():
-            recorder.checkpoint(
-                update.seq,
-                {"canonical": dict(outputs), "processed": processed},
-            )
-    recorder.close()
-    return outputs, _window_rows(engine), restored
+        if update.seq > restored.last_seq:
+            driver.offer(update)
+    driver.close()
+    return tally.outputs, _window_rows(engine), restored
 
 
 def _experiment_spec(experiment: str, total: int) -> ExperimentSpec:

@@ -7,8 +7,7 @@ window update itself.
 
 The executor is deliberately policy-free: join orderings come from an
 ordering algorithm, cache plumbing from the re-optimizer. It exposes the
-plumbing hooks both need, plus the witness-counting mini-join used by
-globally-consistent caches.
+plumbing hooks both need.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ from repro.streams.events import (
     OutputDelta,
     Sign,
     Update,
-    batched,
     output_deltas,
 )
-from repro.streams.tuples import CompositeTuple
 
 # (relation, global seq) -> profile this update? The seq enables the
 # deterministic cross-shard gate (ProfilerConfig.deterministic_gate).
@@ -264,20 +261,6 @@ class MJoinExecutor:
             if prof.enabled:
                 prof.end(self.ctx.clock.now_us)
 
-    def run(
-        self, updates: Iterable[Update], batch_size: int = 1
-    ) -> List[OutputDelta]:
-        """Process a whole update sequence; returns all result deltas."""
-        outputs: List[OutputDelta] = []
-        if batch_size <= 1:
-            for update in updates:
-                outputs.extend(self.process(update))
-            return outputs
-        for batch in batched(updates, batch_size):
-            for per_update in self.process_batch(batch):
-                outputs.extend(per_update)
-        return outputs
-
     def _apply_window_update(self, update: Update, apply: bool = True) -> None:
         relation = self.relations[update.relation]
         cm = self.ctx.cost_model
@@ -290,62 +273,6 @@ class MJoinExecutor:
             relation.insert(update.row)
         else:
             relation.delete(update.row)
-
-    # ------------------------------------------------------------------
-    # support for globally-consistent caches
-    # ------------------------------------------------------------------
-    def witness_counter(
-        self, segment: Sequence[str], anchor: Sequence[str]
-    ) -> Callable[[CompositeTuple], int]:
-        """Build the Y-combination counter for an ``X ⋉ Y`` cache.
-
-        Counts, for a given X-composite, the number of Y-row combinations
-        joining it, via an index-driven mini-join over the anchor
-        relations. Charges ``witness_count_probe`` per index access.
-        """
-        anchor = tuple(anchor)
-        segment = tuple(segment)
-        # Order anchors so each connects to segment ∪ earlier anchors.
-        ordered: List[str] = []
-        known = list(segment)
-        remaining = list(anchor)
-        while remaining:
-            chosen = next(
-                (
-                    r
-                    for r in remaining
-                    if self.graph.predicates_between(known, r)
-                ),
-                remaining[0],
-            )
-            ordered.append(chosen)
-            known.append(chosen)
-            remaining.remove(chosen)
-        operators = []
-        prior = list(segment)
-        for target in ordered:
-            op = JoinOperator(self.graph, prior, target)
-            op.bind(self.relations[target])
-            operators.append(op)
-            prior.append(target)
-
-        def count(composite: CompositeTuple) -> int:
-            self.ctx.clock.charge(
-                self.ctx.cost_model.witness_count_probe * len(operators)
-            )
-            frontier = [composite]
-            for position, op in enumerate(operators):
-                is_last = position == len(operators) - 1
-                if is_last:
-                    return sum(
-                        len(op.match_rows(c, self.ctx)) for c in frontier
-                    )
-                frontier = op.apply(frontier, self.ctx)
-                if not frontier:
-                    return 0
-            return len(frontier)
-
-        return count
 
     def memory_in_use(self) -> int:
         """Bytes held by all caches attached to the pipelines."""

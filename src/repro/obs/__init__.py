@@ -17,9 +17,9 @@ Enabling for a run::
     from repro.api import Session
 
     with obs.session() as active:
-        engine = Session.adaptive(workload).plan   # picks up the session
-        engine.run(workload.updates(20_000))
-    print(obs.export.observability_to_jsonl(active, engine.ctx.metrics))
+        session = Session.adaptive(workload)   # its engine adopts the session
+        session.run(arrivals=20_000)
+    print(obs.export.observability_to_jsonl(active, session.ctx.metrics))
 
 Engines built *inside* an active session adopt it automatically (the
 ``ExecContext`` default factory consults :func:`current`), which is how

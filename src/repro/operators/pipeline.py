@@ -259,6 +259,14 @@ class Pipeline:
         self._slot_lookups = tuple(
             self._lookups.get(position) for position in range(nops)
         )
+        # What a *profiled* delete still visits: the lookups whose entries
+        # a last owner-side witness consumes (see _consume_witnesses).
+        self._witness_lookups = tuple(
+            lookup
+            if lookup is not None and lookup.owner_witness_count is not None
+            else None
+            for lookup in self._slot_lookups
+        )
         slot_taps = []
         for position in range(nops + 1):
             updates = tuple(self._updates.get(position, ()))
@@ -307,7 +315,9 @@ class Pipeline:
         CacheLookup (Appendix A: profiled tuples measure the cache-free
         path) and per-operator ``δ``/``τ`` measurements are returned.
         Maintenance taps always run — they keep *other* pipelines' caches
-        consistent and are not "using" a cache.
+        consistent and are not "using" a cache — and so does a delete's
+        last-witness check on globally-consistent entries, which is
+        maintenance too.
 
         There is one loop. Whatever instrumentation this update takes —
         the profiled tuple's measurements and, when the update is timed,
@@ -331,7 +341,12 @@ class Pipeline:
                     operators, self._op_span_names, histograms
                 )
             ]
-        lookups = self._no_lookups if profile else self._slot_lookups
+        if not profile:
+            lookups = self._slot_lookups
+        elif sign is Sign.DELETE:
+            lookups = self._witness_lookups
+        else:
+            lookups = self._no_lookups
         slot_taps = self._slot_taps
         composites: List[CompositeTuple] = [CompositeTuple.of(self.owner, row)]
         position = 0
@@ -343,6 +358,10 @@ class Pipeline:
                 break
             lookup = lookups[position]
             if lookup is None:
+                composites = operators[position].apply(composites, ctx)
+                position += 1
+            elif profile:
+                self._consume_witnesses(lookup, composites, ctx)
                 composites = operators[position].apply(composites, ctx)
                 position += 1
             else:
@@ -373,6 +392,26 @@ class Pipeline:
             for observation in bloom.apply(composites, ctx, sign):
                 if self.observation_sink is not None:
                     self.observation_sink(bloom.candidate_id, observation)
+
+    def _consume_witnesses(
+        self,
+        lookup: CacheLookup,
+        composites: List[CompositeTuple],
+        ctx: ExecContext,
+    ) -> None:
+        """:meth:`_through_cache`'s last-witness consumption for a delete
+        that bypasses the cache: one ``index_probe`` per distinct key, no
+        cache probe made or counted."""
+        clock, cost = ctx.clock, ctx.cost_model.index_probe
+        checked_keys: set = set()
+        for composite in composites:
+            probe_key = lookup.key.probe_value(composite)
+            if probe_key in checked_keys:
+                continue
+            checked_keys.add(probe_key)
+            clock.charge(cost)
+            if lookup.owner_witness_count(probe_key) <= 1:
+                lookup.cache.invalidate(probe_key)
 
     def _through_cache(
         self,

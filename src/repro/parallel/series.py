@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional
 
+from repro.engine.drive import Driver
 from repro.engine.runtime import SeriesPoint
 from repro.parallel.partitioner import scheme_for_workload
 from repro.parallel.shard import _memory_in_use, _used_caches
 from repro.parallel.spec import ExperimentSpec
-from repro.streams.events import DeltaBatch, Update
+from repro.streams.events import Update
 
 
 def run_series_sharded(
@@ -38,13 +39,13 @@ def run_series_sharded(
     behind it. Always in-process: a time axis needs lockstep sampling,
     which per-worker replay cannot give.
     """
-    driver = spec.workload_factory()
-    scheme = scheme_for_workload(driver, shards)
+    source = spec.workload_factory()
+    scheme = scheme_for_workload(source, shards)
     plans = [spec.engine.build(spec.workload_factory()) for _ in range(shards)]
     contexts = [plan.ctx for plan in plans]
     resiliences = [getattr(plan, "resilience", None) for plan in plans]
 
-    updates: Iterable[Update] = driver.updates(spec.arrivals)
+    updates: Iterable[Update] = source.updates(spec.arrivals)
     if spec.fault_spec is not None:
         from repro.faults.plan import FaultPlan
 
@@ -56,43 +57,39 @@ def run_series_sharded(
     x = 0
     source_processed = 0
     window_start_source = 0
-    window_start_us = [ctx.clock.now_us for ctx in contexts]
-    window_start_probes = [ctx.metrics.cache_probes for ctx in contexts]
-    window_start_hits = [ctx.metrics.cache_hits for ctx in contexts]
-    window_start_seq = [ctx.obs.decisions.last_seq for ctx in contexts]
-    window_start_shed = [
-        r.shed_total if r else 0 for r in resiliences
-    ]
-    run_start_us = 0.0
+
+    def window_start() -> List[tuple]:
+        """Per shard: (clock µs, probes, hits, decision seq, shed)."""
+        return [
+            (
+                ctx.clock.now_us,
+                ctx.metrics.cache_probes,
+                ctx.metrics.cache_hits,
+                ctx.obs.decisions.last_seq,
+                r.shed_total if r else 0,
+            )
+            for ctx, r in zip(contexts, resiliences)
+        ]
+
+    starts = window_start()
 
     def emit_point() -> None:
-        nonlocal window_start_source
-        spans = [
-            ctx.clock.now_us - start
-            for ctx, start in zip(contexts, window_start_us)
-        ]
-        span_s = max(1e-12, max(spans) / 1e6)
-        probes = sum(
-            ctx.metrics.cache_probes - start
-            for ctx, start in zip(contexts, window_start_probes)
-        )
-        hits = sum(
-            ctx.metrics.cache_hits - start
-            for ctx, start in zip(contexts, window_start_hits)
-        )
+        nonlocal window_start_source, starts
+        pairs = list(zip(contexts, starts))
+        span_us = max(ctx.clock.now_us - st[0] for ctx, st in pairs)
+        span_s = max(1e-12, span_us / 1e6)
+        probes = sum(ctx.metrics.cache_probes - st[1] for ctx, st in pairs)
+        hits = sum(ctx.metrics.cache_hits - st[2] for ctx, st in pairs)
         decisions = tuple(
             record
-            for ctx, start in zip(contexts, window_start_seq)
-            for record in ctx.obs.decisions.since(start)
+            for ctx, st in pairs
+            for record in ctx.obs.decisions.since(st[3])
         )
-        shed_now = [r.shed_total if r else 0 for r in resiliences]
         shed_in_window = sum(
-            now - start for now, start in zip(shed_now, window_start_shed)
+            (r.shed_total if r else 0) - st[4]
+            for r, st in zip(resiliences, starts)
         )
-        elapsed_s = max(
-            1e-12,
-            (max(ctx.clock.now_us for ctx in contexts) - run_start_us) / 1e6,
-        )
+        elapsed_s = max(1e-12, max(ctx.clock.now_us for ctx in contexts) / 1e6)
         used = sorted({cid for plan in plans for cid in _used_caches(plan)})
         series.append(
             SeriesPoint(
@@ -114,40 +111,25 @@ def run_series_sharded(
             )
         )
         window_start_source = source_processed
-        for index, ctx in enumerate(contexts):
-            window_start_us[index] = ctx.clock.now_us
-            window_start_probes[index] = ctx.metrics.cache_probes
-            window_start_hits[index] = ctx.metrics.cache_hits
-            window_start_seq[index] = ctx.obs.decisions.last_seq
-            window_start_shed[index] = shed_now[index]
+        starts = window_start()
 
-    # Per-shard micro-batch buffers (spec.batch_size = 1 keeps the
-    # unbatched per-update path). All buffers drain before a sample is
-    # taken so every point still reflects a lockstep stream position.
-    pending: List[List[Update]] = [[] for _ in range(shards)]
-
-    def flush_shard(shard: int) -> None:
-        if pending[shard]:
-            plans[shard].process_batch(DeltaBatch(pending[shard]))
-            pending[shard].clear()
+    # One driver per shard (spec.batch_size = 1 keeps the unbatched
+    # per-update path). Every driver flushes before a sample is taken so
+    # each point still reflects a lockstep stream position.
+    drivers = [Driver(plan, batch_size=spec.batch_size) for plan in plans]
 
     for update in updates:
         for shard in scheme.shards_for(update):
-            if spec.batch_size == 1:
-                plans[shard].process(update)
-            else:
-                pending[shard].append(update)
-                if len(pending[shard]) >= spec.batch_size:
-                    flush_shard(shard)
+            drivers[shard].offer(update)
         source_processed += 1
         if x_of is None or x_of(update):
             x += 1
         if source_processed - window_start_source >= sample_every_updates:
-            for shard in range(shards):
-                flush_shard(shard)
+            for driver in drivers:
+                driver.flush()
             emit_point()
-    for shard in range(shards):
-        flush_shard(shard)
+    for driver in drivers:
+        driver.flush()
     # Flush the trailing partial window (if any updates landed in it).
     if source_processed > window_start_source:
         emit_point()

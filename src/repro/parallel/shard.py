@@ -19,10 +19,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.engine.drive import Driver
 from repro.faults.plan import FaultPlan
 from repro.parallel.partitioner import PartitionScheme, scheme_for_workload
 from repro.parallel.spec import ExperimentSpec
-from repro.streams.events import DeltaBatch, OutputDelta, Sign, canonical_delta
+from repro.streams.events import OutputDelta, Sign, canonical_delta
 
 # Exit status a deliberately killed worker dies with (crash injection).
 KILL_EXIT_CODE = 23
@@ -296,7 +297,7 @@ def _run_shard(
     )
 
     def record(update_seq: int, outputs) -> None:
-        nonlocal processed_here
+        nonlocal processed_here, poisonings
         processed_here += 1
         if spec.output_mode == "deltas":
             for index, delta in enumerate(outputs):
@@ -310,9 +311,8 @@ def _run_shard(
             # Crash injection: die the way a real fault would — no
             # flush, no atexit, losing every un-fsynced WAL byte.
             os._exit(KILL_EXIT_CODE)
-
-    def maybe_poison() -> None:
-        nonlocal poisonings
+        # Called at a safe point (a replayed update, or one whose batch
+        # is fully processed), so a poisoning lands before any checkpoint.
         if (
             poison_after is not None
             and poisonings == 0
@@ -352,26 +352,18 @@ def _run_shard(
         # restore(); fold its outputs into the shard's tally.
         for seq, outputs in restored.replayed:
             record(seq, outputs)
-        maybe_poison()
         recorder = Recorder(plan, recovery)
-        recorder.mark_processed(len(restored.replayed))
 
     # This shard's routed updates, grouped into consecutive micro-batches
     # (spec.batch_size; 1 = the unbatched per-update path).
-    pending: List = []
-
-    def flush_pending() -> None:
-        if not pending:
-            return
-        batch = DeltaBatch(pending)
-        last_seq = pending[-1].seq
-        for update, outputs in zip(pending, plan.process_batch(batch)):
-            record(update.seq, outputs)
-        pending.clear()
-        maybe_poison()
-        if recorder is not None:
-            recorder.mark_processed(len(batch))
-            recorder.maybe_checkpoint(last_seq, runner_state())
+    driver = Driver(
+        plan,
+        lambda update, outputs: record(update.seq, outputs),
+        batch_size=spec.batch_size,
+        recorder=recorder,
+        state=runner_state,
+        replayed=len(restored.replayed) if restored is not None else 0,
+    )
 
     # Epoch barriers sit at fixed *positions* of the global stream
     # (``source_seen``); every worker iterates the identical stream, so
@@ -406,37 +398,25 @@ def _run_shard(
             if start_updates is None and arrivals_seen >= warmup_arrivals:
                 # Drain buffered pre-warmup updates so the measured span
                 # starts at a batch boundary.
-                flush_pending()
+                driver.flush()
                 start_updates = ctx.metrics.updates_processed
                 start_time_us = ctx.clock.now_us
             if update.sign is Sign.INSERT:
                 arrivals_seen += 1
             if shard in scheme.shards_for(update):
-                if recorder is not None:
-                    recorder.log(update)
-                if spec.batch_size == 1:
-                    record(update.seq, plan.process(update))
-                    maybe_poison()
-                    if recorder is not None:
-                        recorder.mark_processed()
-                        recorder.maybe_checkpoint(update.seq, runner_state())
-                else:
-                    pending.append(update)
-                    if len(pending) >= spec.batch_size:
-                        flush_pending()
+                driver.offer(update)
         if sync_every and source_seen % sync_every == 0:
-            flush_pending()
+            driver.flush()
             exchange_epoch(source_seen // sync_every)
         if (
             spec.stop_after_updates is not None
             and source_seen >= spec.stop_after_updates
         ):
             break
-    flush_pending()
+    driver.flush()
     if prof.enabled:
         prof.end(ctx.clock.now_us)
-    if recorder is not None:
-        recorder.close()
+    driver.close()  # the closing fsync falls outside the run span
 
     if start_updates is None:
         start_updates, start_time_us = 0, 0.0

@@ -21,10 +21,12 @@ from repro.api import EngineConfig, build_adaptive_engine
 from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.drive import Driver
 from repro.mjoin.executor import MJoinExecutor
 from repro.ordering.agreedy import OrderingConfig
 from repro.parallel.engine import ParallelConfig, run_sharded
 from repro.parallel.spec import EngineSpec, ExperimentSpec
+from repro.streams.events import Sign
 from repro.streams.workloads import Workload
 from repro.xjoin.executor import XJoinExecutor
 from repro.xjoin.tree import JoinTree, enumerate_trees
@@ -96,34 +98,21 @@ def measured_run(
     (``plan.process_batch``); the measured span starts at a batch
     boundary so warmup exclusion stays exact.
     """
-    from repro.streams.events import DeltaBatch, Sign
-
     ctx = plan.ctx
     warmup = int(arrivals * warmup_fraction)
     arrivals_seen = 0
     start_updates: Optional[int] = None
     start_time = 0.0
-    pending: List = []
-
-    def flush_pending() -> None:
-        if pending:
-            plan.process_batch(DeltaBatch(pending))
-            pending.clear()
-
+    driver = Driver(plan, batch_size=batch_size)
     for update in workload.updates(arrivals):
         if start_updates is None and arrivals_seen >= warmup:
-            flush_pending()
+            driver.flush()
             start_updates = ctx.metrics.updates_processed
             start_time = ctx.clock.now_seconds
-        if batch_size == 1:
-            plan.process(update)
-        else:
-            pending.append(update)
-            if len(pending) >= batch_size:
-                flush_pending()
+        driver.offer(update)
         if update.sign is Sign.INSERT:
             arrivals_seen += 1  # each arrival yields exactly one insertion
-    flush_pending()
+    driver.flush()
     if start_updates is None:
         start_updates, start_time = 0, 0.0
     span = max(1e-12, ctx.clock.now_seconds - start_time)

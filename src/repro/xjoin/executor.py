@@ -221,15 +221,6 @@ class XJoinExecutor:
         """
         return [self.process(update) for update in batch]
 
-    def run(
-        self, updates: Iterable[Update], batch_size: int = 1
-    ) -> List[OutputDelta]:
-        """Process a whole update sequence; returns all result deltas."""
-        outputs: List[OutputDelta] = []
-        for update in updates:
-            outputs.extend(self.process(update))
-        return outputs
-
     def _matches(
         self,
         composite: CompositeTuple,

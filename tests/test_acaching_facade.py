@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.api import EngineConfig, build_adaptive_engine
 from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
 from repro.engine.clock import WallClock
+from repro.engine.drive import drive
 from repro.operators.base import ExecContext
 from repro.ordering.agreedy import OrderingConfig
 from repro.streams.events import Sign
@@ -31,12 +33,16 @@ class TestFacade:
         from repro.streams.workloads import fig10_workload
 
         workload = fig10_workload(s_window=50)
-        engine = ACaching.for_workload(workload, small_config())
+        engine = build_adaptive_engine(
+            workload, EngineConfig(tuning=small_config())
+        )
         assert not engine.executor.relations["S"].has_index("B")
 
     def test_ctx_property(self):
         workload = three_way_chain()
-        engine = ACaching.for_workload(workload, small_config())
+        engine = build_adaptive_engine(
+            workload, EngineConfig(tuning=small_config())
+        )
         assert engine.ctx is engine.executor.ctx
 
     def test_run_returns_all_deltas(self):
@@ -46,19 +52,23 @@ class TestFacade:
         engine = ACaching(
             workload.graph, orders=CHAIN_ORDERS, config=small_config()
         )
-        outputs = engine.run(workload.updates(600))
+        outputs = drive(engine, workload.updates(600))
         assert all(o.sign in (Sign.INSERT, Sign.DELETE) for o in outputs)
 
     def test_candidate_states_are_strings(self):
         workload = three_way_chain()
-        engine = ACaching.for_workload(workload, small_config())
+        engine = build_adaptive_engine(
+            workload, EngineConfig(tuning=small_config())
+        )
         states = engine.candidate_states()
         assert states
         assert set(states.values()) <= {"used", "profiled", "unused"}
 
     def test_throughput_zero_before_work(self):
         workload = three_way_chain()
-        engine = ACaching.for_workload(workload, small_config())
+        engine = build_adaptive_engine(
+            workload, EngineConfig(tuning=small_config())
+        )
         assert engine.throughput() == 0.0
 
     def test_wall_clock_mode(self):
@@ -72,15 +82,16 @@ class TestFacade:
             config=small_config(),
             ctx=ctx,
         )
-        engine.run(workload.updates(400))
+        drive(engine, workload.updates(400))
         # Real time passed; virtual charges were ignored.
         assert engine.ctx.clock.now_seconds > 0
         assert engine.throughput() > 0
 
     def test_memory_budget_plumbed_to_allocator(self):
         workload = three_way_chain()
-        engine = ACaching.for_workload(
-            workload, small_config(memory_budget_bytes=12345)
+        engine = build_adaptive_engine(
+            workload,
+            EngineConfig(tuning=small_config(memory_budget_bytes=12345)),
         )
         assert engine.reoptimizer.allocator.budget_bytes == 12345
 
@@ -88,6 +99,6 @@ class TestFacade:
         workload = three_way_chain()
         config = small_config()
         config.adaptive_ordering = False
-        engine = ACaching.for_workload(workload, config)
+        engine = build_adaptive_engine(workload, EngineConfig(tuning=config))
         assert engine.orderer is None
-        engine.run(workload.updates(200))  # still processes fine
+        drive(engine, workload.updates(200))  # still processes fine

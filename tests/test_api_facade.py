@@ -1,8 +1,8 @@
-"""The repro.api facade: EngineConfig, Session, and the legacy shims.
+"""The repro.api facade: EngineConfig, Session, and the builders.
 
-Facade-built engines must be *identical* to legacy-built ones — same
-plans, same caches, same outputs, same virtual clock, point for point —
-and the old keyword entry points must still work while warning.
+Facade-built engines must be *identical* to directly constructed ones —
+same plans, same caches, same outputs, same virtual clock, point for
+point — and building through the facade must not warn.
 """
 
 import warnings
@@ -16,7 +16,7 @@ from repro.api import (
     build_static_plan,
 )
 from repro.core.acaching import ACaching
-from repro.engine.runtime import _build_static_plan, static_plan
+from repro.engine.runtime import _build_static_plan
 from repro.errors import PlanError
 from repro.streams.events import DeltaBatch, Update, batched
 from repro.streams.workloads import fig9_workload, three_way_chain
@@ -130,19 +130,6 @@ class TestSessionEqualsLegacy:
 
 
 class TestDeprecationShims:
-    def test_static_plan_warns_and_still_works(self):
-        workload = chain()
-        with pytest.warns(DeprecationWarning, match="static_plan"):
-            plan = static_plan(
-                workload, orders=CHAIN_ORDERS, candidate_ids=("T:0-1p",)
-            )
-        assert plan.used == ("T:0-1p",)
-
-    def test_for_workload_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="for_workload"):
-            engine = ACaching.for_workload(chain())
-        assert engine.executor is not None
-
     def test_facade_builders_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

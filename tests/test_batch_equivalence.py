@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import EngineConfig, Session, build_adaptive_engine
+from repro.engine.drive import drive
 from repro.faults.auditor import AuditorConfig
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.resilience import ResilienceConfig
@@ -69,7 +70,7 @@ def serial_run(workload_key, arrivals, batch_size, fault_spec=None, seed=0,
         updates = FaultPlan(fault_spec, seed=seed).updates(updates)
     deltas = [
         exact_delta(d)
-        for d in engine.run(updates, batch_size=batch_size)
+        for d in drive(engine, updates, batch_size=batch_size)
     ]
     return deltas, window_contents(engine)
 
@@ -181,6 +182,6 @@ def test_batch_one_is_charge_identical_to_unbatched():
     b = build_adaptive_engine(wl_b, EngineConfig(batch_size=1))
     for update in wl_a.updates(300):
         a.process(update)
-    b.run(wl_b.updates(300), batch_size=1)
+    drive(b, wl_b.updates(300), batch_size=1)
     assert a.ctx.clock.now_us == b.ctx.clock.now_us
     assert a.ctx.metrics.updates_processed == b.ctx.metrics.updates_processed

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine.drive import drive
 from repro.errors import WorkloadError
 from repro.streams.events import Sign
 from repro.streams.generators import ZipfValues
@@ -119,7 +120,7 @@ class TestZipfValues:
 
     def test_zipf_keys_boost_cache_hits(self):
         """Skewed probe keys are exactly where caches shine."""
-        from repro.engine.runtime import static_plan
+        from repro.api import EngineConfig, build_static_plan
         from repro.relations.predicates import JoinGraph
         from repro.streams.generators import StreamSpec, UniformValues
         from repro.streams.tuples import Schema
@@ -155,10 +156,11 @@ class TestZipfValues:
 
         def hit_rate(model_factory):
             workload = build(model_factory)
-            plan = static_plan(
-                workload, orders=orders, candidate_ids=["T:0-1p"]
+            plan = build_static_plan(
+                workload,
+                EngineConfig(orders=orders, candidate_ids=("T:0-1p",)),
             )
-            plan.run(workload.updates(3000))
+            drive(plan, workload.updates(3000))
             return plan.ctx.metrics.hit_rate
 
         uniform = hit_rate(lambda: UniformValues(64, seed=9))

@@ -100,18 +100,6 @@ class TestUnifiedRunApi:
         assert serial and sharded
         assert len(sharded) == len(serial)
 
-    def test_run_sharded_is_a_deprecation_shim_over_execute(self):
-        session = Session.adaptive(
-            FACTORY, EngineConfig(sharding=ShardingConfig(shards=2))
-        )
-        with pytest.warns(DeprecationWarning, match="execute"):
-            shimmed = session.run_sharded(300)
-        direct = session.execute(300)
-        assert shimmed.stats.used_caches == direct.stats.used_caches
-        assert (
-            shimmed.stats.source_updates == direct.stats.source_updates
-        )
-
     def test_execute_itself_does_not_warn(self):
         session = Session.adaptive(
             FACTORY, EngineConfig(sharding=ShardingConfig(shards=2))

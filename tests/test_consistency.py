@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.candidates import enumerate_candidates
 from repro.core.wiring import CacheWiring
+from repro.engine.drive import drive
 from repro.mjoin.executor import MJoinExecutor
 from repro.relations.predicates import JoinGraph
 from repro.streams.events import Sign
@@ -80,7 +81,7 @@ def run_with_caches(workload, orders, candidate_filter, arrivals):
             continue
         chosen.append(candidate)
         wiring.attach(candidate, buckets=64)
-    outputs = executor.run(workload.updates(arrivals))
+    outputs = drive(executor, workload.updates(arrivals))
     return executor, outputs, chosen
 
 
@@ -108,7 +109,7 @@ class TestChainConsistency:
             t_multiplicity=3.0, window_r=24, window_s=24
         )
         baseline = MJoinExecutor(baseline_workload.graph, orders=orders)
-        baseline_outputs = baseline.run(baseline_workload.updates(1500))
+        baseline_outputs = drive(baseline, baseline_workload.updates(1500))
         assert normalized_deltas(outputs) == normalized_deltas(
             baseline_outputs
         )
@@ -177,13 +178,14 @@ def test_random_cache_subsets_preserve_outputs(seed, t_multiplicity, window):
         t_multiplicity=t_multiplicity, window_r=window, window_s=window
     )
     baseline = MJoinExecutor(baseline_workload.graph, orders=orders)
-    baseline_outputs = baseline.run(baseline_workload.updates(800))
+    baseline_outputs = drive(baseline, baseline_workload.updates(800))
     assert normalized_deltas(outputs) == normalized_deltas(baseline_outputs)
 
 
 def test_adaptive_engine_preserves_outputs():
     """The full adaptive stack (profiler + reoptimizer + orderer) is exact."""
-    from repro.core.acaching import ACaching, ACachingConfig
+    from repro.api import EngineConfig, build_adaptive_engine
+    from repro.core.acaching import ACachingConfig
     from repro.core.profiler import ProfilerConfig
     from repro.core.reoptimizer import ReoptimizerConfig
 
@@ -196,8 +198,8 @@ def test_adaptive_engine_preserves_outputs():
             reopt_interval_updates=1200, profiling_phase_updates=200
         ),
     )
-    engine = ACaching.for_workload(workload, config)
-    outputs = engine.run(workload.updates(6000))
+    engine = build_adaptive_engine(workload, EngineConfig(tuning=config))
+    outputs = drive(engine, workload.updates(6000))
     live = sum(int(o.sign) for o in outputs)
     assert live == brute_force_chain(engine.executor)
 
@@ -205,6 +207,6 @@ def test_adaptive_engine_preserves_outputs():
         t_multiplicity=5.0, window_r=32, window_s=32
     )
     baseline = MJoinExecutor(baseline_workload.graph)
-    baseline_outputs = baseline.run(baseline_workload.updates(6000))
+    baseline_outputs = drive(baseline, baseline_workload.updates(6000))
     # Orders may differ mid-run, but the delta multiset must match.
     assert normalized_deltas(outputs) == normalized_deltas(baseline_outputs)

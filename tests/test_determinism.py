@@ -8,6 +8,7 @@ EXPERIMENTS.md relies on when recording reference numbers.
 from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.drive import drive
 from repro.ordering.agreedy import OrderingConfig
 from repro.streams.workloads import table2_workload, three_way_chain
 
@@ -26,7 +27,7 @@ def run_once():
         ordering=OrderingConfig(interval_updates=1000),
     )
     engine = ACaching(workload.graph, orders=CHAIN_ORDERS, config=config)
-    outputs = engine.run(workload.updates(5000))
+    outputs = drive(engine, workload.updates(5000))
     return (
         engine.ctx.clock.now_us,
         engine.ctx.metrics.updates_processed,

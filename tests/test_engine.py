@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.api import EngineConfig, build_static_plan
 from repro.engine.clock import CostModel, Stopwatch, VirtualClock, WallClock
+from repro.engine.drive import drive
 from repro.engine.metrics import Metrics
-from repro.engine.runtime import available_candidates, run_with_series, static_plan
+from repro.engine.runtime import available_candidates, run_with_series
 from repro.errors import PlanError
 from repro.planner.enumeration import (
     best_xjoin,
@@ -48,7 +50,7 @@ class TestClock:
             t_multiplicity=5.0, window_r=64, window_s=64
         )
         executor = MJoinExecutor(workload.graph, orders=CHAIN_ORDERS)
-        executor.run(workload.updates(3000))
+        drive(executor, workload.updates(3000))
         rate = executor.ctx.metrics.throughput(
             executor.ctx.clock.now_seconds
         )
@@ -85,7 +87,10 @@ class TestStaticPlanRuntime:
     def test_static_plan_unknown_candidate(self):
         workload = three_way_chain()
         with pytest.raises(PlanError, match="unknown candidate"):
-            static_plan(workload, orders=CHAIN_ORDERS, candidate_ids=["nope"])
+            build_static_plan(
+                workload,
+                EngineConfig(orders=CHAIN_ORDERS, candidate_ids=("nope",)),
+            )
 
     def test_static_plan_conflicting_candidates(self):
         workload = three_way_chain()
@@ -94,13 +99,16 @@ class TestStaticPlanRuntime:
         overlapping = [i for i in ids if i.startswith("R:")][:2]
         if len(overlapping) >= 2:
             with pytest.raises(PlanError, match="conflict"):
-                static_plan(
-                    workload, orders=orders, candidate_ids=overlapping
+                build_static_plan(
+                    workload,
+                    EngineConfig(
+                        orders=orders, candidate_ids=tuple(overlapping)
+                    ),
                 )
 
     def test_run_with_series_samples(self):
         workload = three_way_chain(t_multiplicity=3.0, window_r=16, window_s=16)
-        plan = static_plan(workload, orders=CHAIN_ORDERS, candidate_ids=[])
+        plan = build_static_plan(workload, EngineConfig(orders=CHAIN_ORDERS))
         series = run_with_series(
             plan,
             workload.updates(2000),

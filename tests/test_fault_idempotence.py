@@ -13,8 +13,8 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import EngineConfig, build_static_plan
 from repro.bench.figures import CHAIN_ORDERS, FORCED_CACHE
-from repro.engine.runtime import static_plan
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.resilience import ResilienceConfig
 from repro.streams.workloads import three_way_chain
@@ -27,11 +27,13 @@ def build_plan(guarded: bool):
     resilience = (
         ResilienceConfig(shedding=None, auditor=None) if guarded else None
     )
-    plan = static_plan(
+    plan = build_static_plan(
         workload,
-        orders=CHAIN_ORDERS,
-        candidate_ids=[FORCED_CACHE],
-        resilience=resilience,
+        EngineConfig(
+            orders=CHAIN_ORDERS,
+            candidate_ids=[FORCED_CACHE],
+            resilience=resilience,
+        ),
     )
     return plan, workload
 

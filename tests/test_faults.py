@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from repro.api import EngineConfig, build_static_plan
 from repro.bench.figures import CHAIN_ORDERS, FORCED_CACHE
-from repro.engine.runtime import run_with_series, static_plan
+from repro.engine.drive import drive
+from repro.engine.runtime import run_with_series
 from repro.errors import ResilienceError, WorkloadError
 from repro.faults.auditor import AuditorConfig
 from repro.faults.guard import (
@@ -224,15 +226,17 @@ def test_shedder_enters_and_leaves_degraded_mode():
 
 def test_run_with_series_reports_degraded_windows():
     workload = small_chain()
-    plan = static_plan(
+    plan = build_static_plan(
         workload,
-        orders=CHAIN_ORDERS,
-        candidate_ids=[],
-        resilience=ResilienceConfig(
-            shedding=SheddingConfig(
-                budget_us_per_update=0.001, window_updates=50
+        EngineConfig(
+            orders=CHAIN_ORDERS,
+            candidate_ids=[],
+            resilience=ResilienceConfig(
+                shedding=SheddingConfig(
+                    budget_us_per_update=0.001, window_updates=50
+                ),
+                auditor=None,
             ),
-            auditor=None,
         ),
     )
     series = run_with_series(
@@ -248,16 +252,18 @@ def test_run_with_series_reports_degraded_windows():
 # ----------------------------------------------------------------------
 def test_auditor_detaches_poisoned_cache_and_rebuilds():
     workload = small_chain()
-    plan = static_plan(
+    plan = build_static_plan(
         workload,
-        orders=CHAIN_ORDERS,
-        candidate_ids=[FORCED_CACHE],
-        resilience=ResilienceConfig(
-            shedding=None,
-            auditor=AuditorConfig(
-                audit_every_updates=50,
-                entries_per_audit=16,
-                rebuild_after_updates=100,
+        EngineConfig(
+            orders=CHAIN_ORDERS,
+            candidate_ids=[FORCED_CACHE],
+            resilience=ResilienceConfig(
+                shedding=None,
+                auditor=AuditorConfig(
+                    audit_every_updates=50,
+                    entries_per_audit=16,
+                    rebuild_after_updates=100,
+                ),
             ),
         ),
     )
@@ -303,16 +309,18 @@ def test_auditor_detaches_poisoned_cache_and_rebuilds():
 
 def test_auditor_passes_healthy_caches():
     workload = small_chain()
-    plan = static_plan(
+    plan = build_static_plan(
         workload,
-        orders=CHAIN_ORDERS,
-        candidate_ids=[FORCED_CACHE],
-        resilience=ResilienceConfig(
-            shedding=None,
-            auditor=AuditorConfig(audit_every_updates=50),
+        EngineConfig(
+            orders=CHAIN_ORDERS,
+            candidate_ids=[FORCED_CACHE],
+            resilience=ResilienceConfig(
+                shedding=None,
+                auditor=AuditorConfig(audit_every_updates=50),
+            ),
         ),
     )
-    plan.run(workload.updates(1500))
+    drive(plan, workload.updates(1500))
     auditor = plan.resilience.auditor
     assert auditor.entries_checked > 0
     assert auditor.detached == 0

@@ -24,6 +24,7 @@ import pytest
 
 from repro.api import Session
 from repro.parallel.bench import bench_engine_config
+from repro.planner.enumeration import measured_run
 from repro.scenarios.library import SCENARIOS, build_scenario_workload
 from repro.streams.events import batched
 from repro.streams.workloads import Workload, fig9_workload
@@ -48,18 +49,36 @@ WORKLOADS: Dict[str, Tuple[Callable[[int], Workload], int, int]] = {
 }
 
 
-def measure(name: str) -> Dict[str, object]:
-    """Run one workload on the bench config; return what is pinned."""
-    build, arrivals, batch_size = WORKLOADS[name]
-    workload = build(arrivals)
-    session = Session.adaptive(workload, bench_engine_config(batch_size))
+def _loop(session: Session, workload: Workload, arrivals: int) -> None:
+    """The hand-written per-update / per-batch loop."""
     updates = workload.updates(arrivals)
+    batch_size = session.config.batch_size
     if batch_size == 1:
         for update in updates:
             session.process(update)
     else:
         for batch in batched(updates, batch_size):
             session.process_batch(batch)
+
+
+# How the updates reach the engine: every runner must land on the same
+# golden entry, whichever loop feeds it.
+DRIVERS: Dict[str, Callable[[Session, Workload, int], None]] = {
+    "loop": _loop,
+    "session_run": lambda s, w, n: s.run(w.updates(n)),
+    "session_series": lambda s, w, n: s.series(w.updates(n)),
+    "measured_run": lambda s, w, n: measured_run(
+        s.plan, w, n, warmup_fraction=0.4, batch_size=s.config.batch_size
+    ),
+}
+
+
+def measure(name: str, driver: str = "loop") -> Dict[str, object]:
+    """Run one workload on the bench config; return what is pinned."""
+    build, arrivals, batch_size = WORKLOADS[name]
+    workload = build(arrivals)
+    session = Session.adaptive(workload, bench_engine_config(batch_size))
+    DRIVERS[driver](session, workload, arrivals)
     ctx = session.ctx
     return {
         "clock_now_us": repr(ctx.clock.now_us),
@@ -70,10 +89,15 @@ def measure(name: str) -> Dict[str, object]:
     }
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_virtual_clock_and_decisions_match_golden(name):
+# The hand-written loop keeps the bare workload name as its test id.
+CASES = [(name, driver) for name in sorted(WORKLOADS) for driver in DRIVERS]
+IDS = [name if d == "loop" else f"{name}-{d}" for name, d in CASES]
+
+
+@pytest.mark.parametrize("name, driver", CASES, ids=IDS)
+def test_virtual_clock_and_decisions_match_golden(name, driver):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert measure(name) == golden[name]
+    assert measure(name, driver) == golden[name]
 
 
 def test_golden_runs_exercise_adaptivity():

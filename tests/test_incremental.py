@@ -6,6 +6,7 @@ from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.incremental import ImportanceTracker, IncrementalReoptimizer
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.drive import drive
 from repro.ordering.agreedy import OrderingConfig
 from repro.streams.workloads import three_way_chain
 
@@ -70,7 +71,7 @@ class TestIncrementalEngine:
 
     def test_converges_like_the_baseline(self):
         workload, engine = self.engine()
-        outputs = engine.run(workload.updates(8000))
+        outputs = drive(engine, workload.updates(8000))
         assert "T:0-1p" in engine.used_caches()
         # Exactness is non-negotiable.
         live = sum(int(o.sign) for o in outputs)
@@ -84,7 +85,7 @@ class TestIncrementalEngine:
 
     def test_runs_both_incremental_and_full_rounds(self):
         workload, engine = self.engine()
-        engine.run(workload.updates(12_000))
+        drive(engine, workload.updates(12_000))
         reopt = engine.reoptimizer
         assert reopt.full_rounds >= 1
         assert reopt.incremental_rounds + reopt.full_rounds >= 2

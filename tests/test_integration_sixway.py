@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.candidates import enumerate_prefix_candidates, shared_groups
 from repro.core.wiring import CacheWiring
+from repro.engine.drive import drive
 from repro.mjoin.executor import MJoinExecutor
 from repro.streams.workloads import fig9_workload
 
@@ -57,7 +58,7 @@ def run():
     wiring = CacheWiring(executor)
     for candidate in chosen:
         wiring.attach(candidate, buckets=128)
-    outputs = executor.run(workload.updates(2500))
+    outputs = drive(executor, workload.updates(2500))
     return executor, wiring, chosen, outputs
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.api import EngineConfig, Session, build_adaptive_engine
 from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.drive import drive
 from repro.multi.engine import MultiQueryEngine
 from repro.parallel.engine import run_sharded
 from repro.relations.relation import Relation
@@ -70,7 +71,7 @@ def exact(deltas):
 
 def independent_run(workload_key, updates, config):
     engine = build_adaptive_engine(WORKLOADS[workload_key](), config)
-    return exact(engine.run(iter(updates)))
+    return exact(drive(engine, updates))
 
 
 def multi_run(workload_key, updates, n_queries, config, share):
@@ -260,7 +261,7 @@ def test_runtime_add_and_remove_preserve_byte_identity(
         q2_deltas.extend(outputs.get("q2", []))
 
     ref_q1 = build_adaptive_engine(WORKLOADS[workload_key](), config)
-    assert exact(q1_deltas) == exact(ref_q1.run(iter(updates[:remove_at])))
+    assert exact(q1_deltas) == exact(drive(ref_q1, updates[:remove_at]))
 
     ref_workload = WORKLOADS[workload_key]()
     ref_q2 = ACaching(

@@ -17,6 +17,7 @@ from repro.core import cost_model
 from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.drive import drive
 from repro.engine.runtime import run_with_series
 from repro.obs.decisions import ATTACH
 from repro.ordering.agreedy import OrderingConfig
@@ -48,7 +49,7 @@ class TestTracedAdaptiveRun:
     def traced_run(self):
         with obs.session() as active:
             workload, engine = adaptive_engine()
-            engine.run(workload.updates(6000))
+            drive(engine, workload.updates(6000))
         return active, engine
 
     def test_engine_adopts_the_session(self, traced_run):
@@ -119,13 +120,13 @@ class TestZeroVirtualOverhead:
         reports bit-identical virtual-time throughput to an untraced one
         (the Figure 6 '<2% regression' criterion holds with margin)."""
         workload, engine = adaptive_engine()
-        engine.run(workload.updates(4000))
+        drive(engine, workload.updates(4000))
         baseline = engine.ctx.metrics.throughput(
             engine.ctx.clock.now_seconds
         )
         with obs.session():
             workload, traced = adaptive_engine()
-            traced.run(workload.updates(4000))
+            drive(traced, workload.updates(4000))
         observed = traced.ctx.metrics.throughput(
             traced.ctx.clock.now_seconds
         )

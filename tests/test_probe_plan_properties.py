@@ -11,8 +11,10 @@ a match set, and that the compiled state survives a checkpoint pickle.
 
 import itertools
 import pickle
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -160,14 +162,7 @@ def test_compiled_match_sets_equal_brute_force(case):
 
 
 def _eager_tuning():
-    """Adaptivity fast enough to wire caches within a few dozen updates.
-
-    Prefix-invariant caches only (``global_quota=0``): at this profiling
-    rate a *profiled* owner-side delete skips the CacheLookup and with it
-    the last-witness consumption of a globally-consistent entry, which then
-    serves a stale composite — a defect that predates the compiled path
-    (ROADMAP item 4) and would mask what this file is about.
-    """
+    """Adaptivity fast enough to wire caches within a few dozen updates."""
     return ACachingConfig(
         profiler=ProfilerConfig(
             window=2, profile_probability=0.5, bloom_window_tuples=8
@@ -176,10 +171,37 @@ def _eager_tuning():
             reopt_interval_updates=10,
             profiling_phase_updates=6,
             monitor_every_updates=5,
-            global_quota=0,
+            global_quota=2,
         ),
         adaptive_ordering=False,
     )
+
+
+@pytest.mark.parametrize("seed", [8, 23, 28, 64])
+def test_profiled_owner_delete_consumes_last_global_witness(seed):
+    """One equivalence class over three relations, global caches on.
+
+    A *profiled* owner-side delete bypasses every CacheLookup, but it must
+    still consume a globally-consistent entry whose last owner witness it
+    removes; otherwise the entry outlives its witness and later serves a
+    stale composite. These seeds reached that state before the check ran
+    on the profiled path too.
+    """
+    schemas = [Schema(f"R{i}", "A") for i in range(3)]
+    graph = JoinGraph.parse(schemas, ["R0.A = R1.A", "R1.A = R2.A"])
+    indexed = {schema.relation: ("A",) for schema in schemas}
+    rng = random.Random(seed)
+    arrivals = [(rng.randrange(3), rng.randrange(3)) for _ in range(80)]
+    engine = ACaching(
+        graph, indexed_attributes=indexed, config=_eager_tuning()
+    )
+    live = Counter()
+    for update in _windowed_updates(schemas, arrivals):
+        for delta in engine.process(update):
+            live[_identity(graph, delta.composite)] += int(delta.sign)
+        assert +live == _brute_force_join(graph, engine.executor.relations), (
+            update.seq
+        )
 
 
 @settings(

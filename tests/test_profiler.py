@@ -6,6 +6,7 @@ from repro.caching.cache import Cache
 from repro.caching.key import CacheKey
 from repro.core.candidates import enumerate_candidates
 from repro.core.profiler import PipelineProfile, Profiler, ProfilerConfig
+from repro.engine.drive import drive
 from repro.mjoin.executor import MJoinExecutor
 from repro.operators.pipeline import ProfileSample
 from repro.streams.workloads import three_way_chain
@@ -60,7 +61,7 @@ class TestProfilerIntegration:
             executor,
             ProfilerConfig(window=4, profile_probability=1.0),
         )
-        executor.run(workload.updates(300))
+        drive(executor, workload.updates(300))
         for profile in profiler.profiles.values():
             assert profile.ready()
             assert profile.rate() > 0
@@ -78,7 +79,7 @@ class TestProfilerIntegration:
         )
         for candidate in candidates:
             profiler.install_bloom(candidate)
-        executor.run(workload.updates(1500))
+        drive(executor, workload.updates(1500))
         target = candidates[0].candidate_id
         assert profiler.miss_prob(target) is not None
         assert 0.0 <= profiler.miss_prob(target) <= 1.0
@@ -95,7 +96,7 @@ class TestProfilerIntegration:
             workload.graph, executor.orders(), global_quota=0
         )
         profiler.install_bloom(candidates[0])
-        executor.run(workload.updates(600))
+        drive(executor, workload.updates(600))
         _owner, estimator = profiler._installed_blooms[
             candidates[0].candidate_id
         ]
@@ -116,7 +117,7 @@ class TestProfilerIntegration:
         )
         for candidate in candidates:
             profiler.install_bloom(candidate)
-        executor.run(workload.updates(1200))
+        drive(executor, workload.updates(1200))
         stats = profiler.statistics_for(candidates[0])
         assert stats is not None
         assert stats.d_probe > 0
@@ -164,7 +165,7 @@ class TestProfilerIntegration:
         profiler = Profiler(
             executor, ProfilerConfig(window=2, profile_probability=1.0)
         )
-        executor.run(workload.updates(200))
+        drive(executor, workload.updates(200))
         assert profiler.profiles["T"].ready()
         executor.reorder_pipeline("T", ("R", "S"))
         profiler.rebuild_profiles("T")
@@ -182,7 +183,7 @@ class TestProfilerIntegration:
         profiler = Profiler(
             executor, ProfilerConfig(window=2, profile_probability=1.0)
         )
-        executor.run(workload.updates(200))
+        drive(executor, workload.updates(200))
         rate_before = profiler.profiles["T"].rate()
         assert rate_before > 0.0
         executor.reorder_pipeline("T", ("R", "S"))

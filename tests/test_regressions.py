@@ -6,12 +6,12 @@ the scenarios are small and surgical rather than end-to-end.
 
 import pytest
 
+from repro.api import EngineConfig, build_static_plan
 from repro.caching.bloom import MissProbEstimator
 from repro.caching.cache import Cache
 from repro.caching.key import CacheKey
 from repro.core.candidates import enumerate_candidates
 from repro.core.wiring import CacheWiring
-from repro.engine.runtime import static_plan
 from repro.mjoin.executor import MJoinExecutor
 from repro.relations.predicates import JoinGraph
 from repro.streams.events import Sign
@@ -192,8 +192,9 @@ class TestStaticPlanSegmentOrderRegression:
 
     def test_global_cache_misses_are_not_cross_products(self):
         workload = fig12_workload(burst_after_arrivals=10**9, window=48)
-        plan = static_plan(
-            workload, orders=CHAIN_ORDERS, candidate_ids=["R:0-1g"]
+        plan = build_static_plan(
+            workload,
+            EngineConfig(orders=CHAIN_ORDERS, candidate_ids=("R:0-1g",)),
         )
         first_op = plan.executor.pipelines["R"].operators[0]
         assert not first_op.is_cross_product()

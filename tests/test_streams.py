@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.drive import drive
 from repro.errors import WorkloadError
 from repro.streams.events import Sign
 from repro.streams.generators import (
@@ -154,7 +155,7 @@ class TestWorkloads:
 
         workload = fig7_workload(0.0, window=16)
         executor = MJoinExecutor(workload.graph)
-        outputs = executor.run(workload.updates(300))
+        outputs = drive(executor, workload.updates(300))
         assert outputs == []
 
     def test_fig9_star_graph(self):

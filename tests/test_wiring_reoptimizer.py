@@ -12,6 +12,7 @@ from repro.core.reoptimizer import (
     ReoptimizerConfig,
 )
 from repro.core.wiring import CacheWiring
+from repro.engine.drive import drive
 from repro.errors import PlanError
 from repro.mjoin.executor import MJoinExecutor
 from repro.ordering.agreedy import OrderingConfig
@@ -171,19 +172,19 @@ class TestReoptimizer:
 
     def test_converges_to_profitable_cache(self):
         workload, engine = self.adaptive_engine()
-        engine.run(workload.updates(6000))
+        drive(engine, workload.updates(6000))
         assert "T:0-1p" in engine.used_caches()
         assert engine.ctx.metrics.reoptimizations >= 1
 
     def test_change_threshold_suppresses_reruns(self):
         workload, engine = self.adaptive_engine(change_threshold=10.0)
-        engine.run(workload.updates(6000))
+        drive(engine, workload.updates(6000))
         # A huge threshold lets at most the first selection through.
         assert engine.ctx.metrics.reoptimizations <= 1
 
     def test_on_reorder_drops_and_reenumerates(self):
         workload, engine = self.adaptive_engine()
-        engine.run(workload.updates(6000))
+        drive(engine, workload.updates(6000))
         assert engine.used_caches()
         engine.executor.reorder_pipeline("S", ("T", "R"))
         engine.reoptimizer.on_reorder("S")
@@ -193,13 +194,13 @@ class TestReoptimizer:
 
     def test_memory_budget_zero_blocks_caches(self):
         workload, engine = self.adaptive_engine(memory_budget_bytes=0)
-        engine.run(workload.updates(6000))
+        drive(engine, workload.updates(6000))
         assert engine.used_caches() == []
         assert engine.memory_in_use() == 0
 
     def test_enforce_memory_detaches_over_budget(self):
         workload, engine = self.adaptive_engine()
-        engine.run(workload.updates(6000))
+        drive(engine, workload.updates(6000))
         assert engine.used_caches()
         engine.reoptimizer.allocator.budget_bytes = 1  # shrink budget
         victims = engine.reoptimizer.enforce_memory()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.drive import drive
 from repro.errors import PlanError
 from repro.relations.predicates import JoinGraph
 from repro.streams.tuples import Schema
@@ -127,18 +128,18 @@ class TestXJoinExecutor:
 
         workload = three_way_chain(t_multiplicity=2.0, window_r=16, window_s=16)
         xjoin = XJoinExecutor(workload.graph, left_deep(order))
-        x_out = xjoin.run(workload.updates(800))
+        x_out = drive(xjoin, workload.updates(800))
         workload2 = three_way_chain(
             t_multiplicity=2.0, window_r=16, window_s=16
         )
         mjoin = MJoinExecutor(workload2.graph)
-        m_out = mjoin.run(workload2.updates(800))
+        m_out = drive(mjoin, workload2.updates(800))
         assert norm(x_out) == norm(m_out)
 
     def test_memory_tracking(self):
         workload = three_way_chain(t_multiplicity=2.0, window_r=16, window_s=16)
         executor = XJoinExecutor(workload.graph, left_deep(["R", "S", "T"]))
-        executor.run(workload.updates(500))
+        drive(executor, workload.updates(500))
         assert executor.peak_memory_bytes >= executor.memory_in_use()
         assert executor.peak_memory_bytes > 0
 

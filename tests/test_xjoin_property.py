@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.drive import drive
 from repro.mjoin.executor import MJoinExecutor
 from repro.streams.workloads import table2_workload
 from repro.xjoin.executor import XJoinExecutor
@@ -22,7 +23,7 @@ def normalized(outputs):
 def reference():
     workload = table2_workload("D5", window_base=12)
     executor = MJoinExecutor(workload.graph)
-    outputs = executor.run(workload.updates(700))
+    outputs = drive(executor, workload.updates(700))
     return normalized(outputs)
 
 
@@ -41,7 +42,7 @@ def test_every_tree_matches_the_mjoin(index, trees, reference):
     tree = trees[index]
     workload = table2_workload("D5", window_base=12)
     executor = XJoinExecutor(workload.graph, tree)
-    outputs = executor.run(workload.updates(700))
+    outputs = drive(executor, workload.updates(700))
     assert normalized(outputs) == reference, f"tree {canonical(tree)} diverged"
 
 
@@ -51,6 +52,6 @@ def test_memory_differs_across_shapes(trees):
     for tree in trees[:6]:
         workload = table2_workload("D5", window_base=12)
         executor = XJoinExecutor(workload.graph, tree)
-        executor.run(workload.updates(700))
+        drive(executor, workload.updates(700))
         footprints.add(executor.peak_memory_bytes)
     assert len(footprints) > 1
