@@ -116,25 +116,33 @@ class Cache:
     # ------------------------------------------------------------------
     # maintenance path (CacheUpdate operators in segment pipelines)
     # ------------------------------------------------------------------
-    def maintain_insert(self, composite: CompositeTuple) -> bool:
+    # A maintenance tap's input composite binds every segment slot (the
+    # prefix invariant of the maintained set), so the entry key and the
+    # identity are read from it directly; it is projected onto the
+    # segment only when it is stored. ``updated_relation`` matters only
+    # to GlobalCache; taking it here lets a tap call either kind alike.
+    def maintain_insert(
+        self, composite: CompositeTuple, updated_relation: str = ""
+    ) -> bool:
         """Apply ``insert(u, r)``: ignored unless key ``u`` is present."""
-        seg = self._segment_part(composite)
-        value = self.store.get(self.key.entry_key(seg))
+        value = self.store.get(self.key.entry_key(composite))
         if value is None:
             return False
-        identity = seg.identity(self._canonical_order)
+        identity = composite.identity(self._canonical_order)
         if identity not in value:
-            value[identity] = seg
+            value[identity] = self._segment_part(composite)
             self._memory_bytes += self._composite_bytes
         return True
 
-    def maintain_delete(self, composite: CompositeTuple) -> bool:
+    def maintain_delete(
+        self, composite: CompositeTuple, updated_relation: str = ""
+    ) -> bool:
         """Apply ``delete(u, r)``: ignored unless key ``u`` is present."""
-        seg = self._segment_part(composite)
-        value = self.store.get(self.key.entry_key(seg))
+        value = self.store.get(self.key.entry_key(composite))
         if value is None:
             return False
-        if value.pop(seg.identity(self._canonical_order), None) is not None:
+        identity = composite.identity(self._canonical_order)
+        if value.pop(identity, None) is not None:
             self._memory_bytes -= self._composite_bytes
         return True
 
@@ -150,7 +158,9 @@ class Cache:
         return True
 
     def _segment_part(self, composite: CompositeTuple) -> CompositeTuple:
-        if composite.relations() == frozenset(self.segment):
+        # The composite binds every segment relation, so equal sizes mean
+        # equal relation sets.
+        if len(composite) == len(self.segment):
             return composite
         return composite.project(self.segment)
 
@@ -160,7 +170,7 @@ class Cache:
         Used by micro-batched maintenance taps to group same-key deltas
         behind a single hash + bucket check charge.
         """
-        return self.key.entry_key(self._segment_part(composite))
+        return self.key.entry_key(composite)
 
     # ------------------------------------------------------------------
     # lifecycle / accounting

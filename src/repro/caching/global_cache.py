@@ -81,13 +81,12 @@ class GlobalCache(Cache):
         # Inserts behave identically for segment and anchor updates: make
         # sure the projected composite is present (idempotent set-add).
         """Set-insert the projected composite (segment or anchor insert)."""
-        seg = composite.project(self.segment)
-        value = self.store.get(self.key.entry_key(seg))
+        value = self.store.get(self.key.entry_key(composite))
         if value is None:
             return False
-        identity = seg.identity(self._canonical_order)
+        identity = composite.identity(self._canonical_order)
         if identity not in value:
-            value[identity] = seg
+            value[identity] = self._segment_part(composite)
             self._memory_bytes += self._composite_bytes
         return True
 
@@ -95,8 +94,7 @@ class GlobalCache(Cache):
         self, composite: CompositeTuple, updated_relation: str = ""
     ) -> bool:
         """Segment delete removes the composite; anchor delete invalidates the entry."""
-        seg = composite.project(self.segment)
-        entry_key = self.key.entry_key(seg)
+        entry_key = self.key.entry_key(composite)
         value = self.store.get(entry_key)
         if value is None:
             return False
@@ -106,7 +104,8 @@ class GlobalCache(Cache):
             self.invalidate(entry_key)
             self.invalidations += 1
             return True
-        if value.pop(seg.identity(self._canonical_order), None) is not None:
+        identity = composite.identity(self._canonical_order)
+        if value.pop(identity, None) is not None:
             self._memory_bytes -= self._composite_bytes
         return True
 

@@ -28,7 +28,10 @@ from repro.streams.tuples import CompositeTuple
 class CacheKey:
     """The resolved key of one cache: paired (prefix, segment) attr slots."""
 
-    __slots__ = ("predicates", "_prefix_slots", "_segment_slots")
+    __slots__ = (
+        "predicates", "_prefix_slots", "_segment_slots", "_width",
+        "_probe_slot", "_entry_slot",
+    )
 
     def __init__(
         self,
@@ -76,14 +79,38 @@ class CacheKey:
         self.predicates: Tuple[EquiPredicate, ...] = tuple(
             item[2] for item in deduped
         )
+        self._width = len(deduped)
+        # Single-class keys: when every component holds the same value,
+        # the key is ``(v,) * width`` read from one slot — the same tuple
+        # ``values_at`` builds, so the same hash and the same bucket. The
+        # probe side qualifies when all components read one slot; the
+        # entry side when the segment's own predicates equate its slots
+        # (every composite a key is read from satisfies them). The Fig 9
+        # star is the common case: R6's probe key reads R6.A five times.
+        self._probe_slot = (
+            self._prefix_slots[0] if len(set(self._prefix_slots)) == 1
+            else None
+        )
+        self._entry_slot = (
+            self._segment_slots[0]
+            if _one_class(graph, segment_relations, self._segment_slots)
+            else None
+        )
 
     def probe_value(self, composite: CompositeTuple) -> tuple:
         """Key extracted from a prefix-side composite (a probing tuple)."""
-        return composite.values_at(self._prefix_slots)
+        slot = self._probe_slot
+        if slot is None:
+            return composite.values_at(self._prefix_slots)
+        return (composite.value(slot[0], slot[1]),) * self._width
 
     def entry_key(self, composite: CompositeTuple) -> tuple:
-        """Key extracted from a segment-side composite (a cached value)."""
-        return composite.values_at(self._segment_slots)
+        """Key extracted from a segment-side composite (a cached value, or
+        a maintenance delta binding every segment slot)."""
+        slot = self._entry_slot
+        if slot is None:
+            return composite.values_at(self._segment_slots)
+        return (composite.value(slot[0], slot[1]),) * self._width
 
     @property
     def prefix_slots(self) -> Tuple[Tuple[str, int], ...]:
@@ -93,7 +120,7 @@ class CacheKey:
     @property
     def width(self) -> int:
         """Number of key components (constant per cache, Section 3.3)."""
-        return len(self.predicates)
+        return self._width
 
     def signature(self) -> tuple:
         """A hashable identity used to detect shared caches (Def. 4.1).
@@ -107,6 +134,28 @@ class CacheKey:
     def __repr__(self) -> str:
         parts = ", ".join(repr(p) for p in self.predicates)
         return f"CacheKey({parts})"
+
+
+def _one_class(
+    graph: JoinGraph,
+    segment: Tuple[str, ...],
+    slots: Tuple[Tuple[str, int], ...],
+) -> bool:
+    """True when the predicates among ``segment``'s own relations put all
+    of ``slots`` in one equivalence class (union-find over attr slots)."""
+    parent: dict = {}
+
+    def find(slot):
+        while parent.get(slot, slot) != slot:
+            slot = parent[slot]
+        return slot
+
+    for pred in graph.internal_predicates(segment):
+        left = find((pred.left.relation, graph.attr_position(pred.left)))
+        right = find((pred.right.relation, graph.attr_position(pred.right)))
+        if left != right:
+            parent[left] = right
+    return len({find(slot) for slot in slots}) == 1
 
 
 def segment_predicate_signature(

@@ -14,6 +14,7 @@ pipelines (A-Greedy), selecting caches, and allocating memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -114,21 +115,33 @@ class ACaching:
                 self.reoptimizer.wiring, state_listener=self.reoptimizer
             )
         self._updates_at_memory_check = 0
+        self._hooks_due_now()
+        self.reoptimizer.on_schedule_change = self._hooks_due_now
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    # The adaptivity hooks are periodic (§4.5): each acts only once an
+    # update count or a clock reading passes its deadline. _due_updates /
+    # _due_us hold the earliest of those deadlines, so an update before
+    # them skips the hooks; running them early is harmless because every
+    # hook re-checks its own condition (DESIGN.md §7).
     def process(
         self, update: Update, apply_window: bool = True
     ) -> List[OutputDelta]:
-        """Process one update and run the adaptive machinery hooks.
+        """Process one update and run the adaptive machinery hooks when due.
 
         ``apply_window=False`` defers the window mutation to the caller
         (see :meth:`MJoinExecutor.process`); the multi-query engine uses it
         to apply each shared-stream update exactly once.
         """
         outputs = self.executor.process(update, apply_window=apply_window)
-        self._adaptivity_hooks()
+        ctx = self.executor.ctx
+        if (
+            ctx.metrics.updates_processed >= self._due_updates
+            or ctx.clock.now_us >= self._due_us
+        ):
+            self._adaptivity_hooks()
         return outputs
 
     def process_batch(self, batch: DeltaBatch) -> List[List[OutputDelta]]:
@@ -143,22 +156,56 @@ class ACaching:
         sizes, but those choices never affect the emitted deltas.
         """
         per_update = self.executor.process_batch(batch)
-        self._adaptivity_hooks()
+        ctx = self.executor.ctx
+        if (
+            ctx.metrics.updates_processed >= self._due_updates
+            or ctx.clock.now_us >= self._due_us
+        ):
+            self._adaptivity_hooks()
         return per_update
 
     def _adaptivity_hooks(self) -> None:
+        """Reordering, re-optimization and memory enforcement, each behind
+        its own exact condition; then the next due point."""
         if self.orderer is not None:
             for owner in self.orderer.maybe_reorder():
                 self.reoptimizer.on_reorder(owner)
         self.reoptimizer.after_update()
         metrics = self.executor.ctx.metrics
+        budgeted = self.reoptimizer.allocator.budget_bytes is not None
         if (
-            self.reoptimizer.allocator.budget_bytes is not None
+            budgeted
             and metrics.updates_processed - self._updates_at_memory_check
             >= self.config.memory_check_every_updates
         ):
             self._updates_at_memory_check = metrics.updates_processed
             self.reoptimizer.enforce_memory()
+        due_updates, self._due_us = self.reoptimizer.next_due()
+        if self.orderer is not None:
+            due_updates = min(due_updates, self.orderer.next_due())
+        if budgeted:
+            due_updates = min(
+                due_updates,
+                self._updates_at_memory_check
+                + self.config.memory_check_every_updates,
+            )
+        self._due_updates = due_updates
+
+    def _hooks_due_now(self) -> None:
+        """Run the hooks after the next update, whatever their deadlines."""
+        self._due_updates = 0
+        self._due_us = -math.inf
+
+    # The due point is derived from state that is pickled, so it is not:
+    # a restored engine runs its hooks on its first update.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_due_updates"], state["_due_us"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._hooks_due_now()
 
     # ------------------------------------------------------------------
     # introspection

@@ -126,6 +126,9 @@ class Profiler:
         self.executor = executor
         self.config = config if config is not None else ProfilerConfig()
         self._rng = random.Random(self.config.seed)
+        # deterministic_gate_hash's CRC over the constant "<seed>:" prefix;
+        # the gate continues it over each seq's digits.
+        self._gate_crc = zlib.crc32(f"{self.config.seed}:".encode("ascii"))
         self.profiles: Dict[str, PipelineProfile] = {}
         self.miss_windows: Dict[str, Deque[float]] = {}
         # candidate_id -> (owner, estimator); the estimator handle enables
@@ -163,13 +166,15 @@ class Profiler:
     def _gate(self, relation: str, seq: Optional[int] = None) -> bool:
         profile = self.profiles.get(relation)
         if profile is not None:
-            profile.record_arrival(self.executor.ctx.clock.now_us)
-        if self.config.deterministic_gate and seq is not None:
+            # PipelineProfile.record_arrival, inlined on the per-update path.
+            profile._arrival_times.append(self.executor.ctx.clock.now_us)
+        config = self.config
+        if config.deterministic_gate and seq is not None:
+            # deterministic_gate_hash(seed, seq), bit for bit.
             return (
-                deterministic_gate_hash(self.config.seed, seq)
-                < self.config.profile_probability
-            )
-        return self._rng.random() < self.config.profile_probability
+                zlib.crc32(b"%d" % seq, self._gate_crc) & 0xFFFFFFFF
+            ) / 4294967296.0 < config.profile_probability
+        return self._rng.random() < config.profile_probability
 
     def _sink(self, relation: str, sample: ProfileSample) -> None:
         profile = self.profiles.get(relation)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import cost_model
 from repro.obs import decisions as decisions_log
@@ -72,12 +72,12 @@ class ReoptimizerConfig:
 class Reoptimizer:
     """Keeps the optimal nonoverlapping cache subset wired as stats drift."""
 
-    # Set at runtime by the sharded worker (repro.parallel.shard) when a
-    # run is coordinated: selection authority moves to the cross-shard
-    # EpochCoordinator and local cycles are disabled — the shard only
-    # profiles, snapshots, and applies pushed plans. A class-level default
-    # keeps engines restored from pre-coordination checkpoints valid.
-    coordinated = False
+    # A class-level default keeps engines restored from pre-coordination
+    # checkpoints valid (see the ``coordinated`` property).
+    _coordinated = False
+    # Called when ``coordinated`` is assigned: the owning ACaching's due
+    # point for the per-update hooks (next_due) must be recomputed.
+    on_schedule_change: Optional[Callable[[], None]] = None
 
     def __init__(
         self,
@@ -187,11 +187,51 @@ class Reoptimizer:
             self.states[candidate_id] = CandidateState.USED
             self.profiler.remove_bloom(candidate_id)
 
+    @property
+    def coordinated(self) -> bool:
+        """Set at runtime by the sharded worker (repro.parallel.shard) when
+        a run is coordinated: selection authority moves to the cross-shard
+        EpochCoordinator and local cycles are disabled — the shard only
+        profiles, snapshots, and applies pushed plans."""
+        return self._coordinated
+
+    @coordinated.setter
+    def coordinated(self, value: bool) -> None:
+        self._coordinated = value
+        if self.on_schedule_change is not None:
+            self.on_schedule_change()
+
     # ------------------------------------------------------------------
     # per-update hook
     # ------------------------------------------------------------------
+    def next_due(self) -> Tuple[float, float]:
+        """The earliest (updates processed, clock µs) at which
+        :meth:`after_update` can act; ``inf`` where nothing is due.
+
+        The monitor cadence, then the end of the profiling phase or the
+        re-optimization interval. The seconds interval is compared in
+        ``now_seconds``; its deadline is 1 µs early so float rounding in
+        that conversion can never let the interval elapse before the
+        clock reaches it. A coordinated re-optimizer never acts.
+        """
+        if self.coordinated:
+            return math.inf, math.inf
+        config = self.config
+        due = self._last_monitor_updates + config.monitor_every_updates
+        if self._profiling_until_updates is not None:
+            return min(due, self._profiling_until_updates), math.inf
+        if config.reopt_interval_updates is not None:
+            interval_due = (
+                self._last_reopt_updates + config.reopt_interval_updates
+            )
+            return min(due, interval_due), math.inf
+        return due, (
+            (self._last_reopt_at + config.reopt_interval_seconds) * 1e6 - 1.0
+        )
+
     def after_update(self) -> None:
-        """Called once per processed update; drives monitoring and phases."""
+        """Drives monitoring and phases; a no-op until :meth:`next_due`
+        (the owning ACaching calls it only from then on)."""
         if self.coordinated:
             # Under global coordination every selection decision — adds,
             # drops, memory admission — comes from the coordinator's plan

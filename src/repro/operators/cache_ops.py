@@ -21,7 +21,6 @@ from typing import List, Sequence
 
 from repro.caching.bloom import MissProbEstimator
 from repro.caching.cache import Cache
-from repro.caching.global_cache import GlobalCache
 from repro.operators.base import ExecContext
 from repro.streams.events import Sign
 from repro.streams.tuples import CompositeTuple
@@ -99,7 +98,12 @@ class CacheUpdate:
     ) -> None:
         """Run the maintenance calls for a batch of delta composites."""
         clock, cm = ctx.clock, ctx.cost_model
-        is_global = isinstance(self.cache, GlobalCache)
+        cache, owner = self.cache, self.owner
+        maintain = (
+            cache.maintain_insert if sign is Sign.INSERT
+            else cache.maintain_delete
+        )
+        ctx.metrics.cache_maintenance_calls += len(composites)
         applied_count = 0
         # Micro-batch mode: group same-key deltas behind one hash +
         # bucket check; each applied delta still pays its own cost.
@@ -112,22 +116,11 @@ class CacheUpdate:
             if checked_keys is None:
                 clock.charge(cm.cache_maintain_check)
             else:
-                entry_key = self.cache.maintenance_key(composite)
+                entry_key = cache.maintenance_key(composite)
                 if entry_key not in checked_keys:
                     checked_keys.add(entry_key)
                     clock.charge(cm.cache_maintain_check)
-            ctx.metrics.cache_maintenance_calls += 1
-            if is_global:
-                if sign is Sign.INSERT:
-                    applied = self.cache.maintain_insert(composite, self.owner)
-                else:
-                    applied = self.cache.maintain_delete(composite, self.owner)
-            else:
-                if sign is Sign.INSERT:
-                    applied = self.cache.maintain_insert(composite)
-                else:
-                    applied = self.cache.maintain_delete(composite)
-            if applied:
+            if maintain(composite, owner):
                 applied_count += 1
                 clock.charge(cm.cache_maintain)
         counters = self.counters

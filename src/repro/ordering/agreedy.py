@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.mjoin.executor import MJoinExecutor
-from repro.relations.predicates import JoinGraph
+from repro.relations.predicates import EquiPredicate, JoinGraph
 from repro.relations.relation import Relation
 
 
@@ -56,6 +56,8 @@ class MatchRateEstimator:
         self._charge = charge if charge is not None else (lambda cost: None)
         self._memo: Dict[Tuple[frozenset, str], float] = {}
         self._smoothed: Dict[Tuple[frozenset, str], float] = {}
+        # (predicate, target) -> (rows sampled, sampled mean), per batch.
+        self._sampled: Dict[Tuple[EquiPredicate, str], Tuple[int, float]] = {}
 
     def begin_batch(self) -> None:
         """Start a fresh estimation batch.
@@ -67,8 +69,15 @@ class MatchRateEstimator:
         multiplicatively along a pipeline and makes A-Greedy thrash
         between equivalent plans, and every reorder drops that pipeline's
         caches (Section 4.5, step 5).
+
+        Each ``(predicate, target)`` is sampled once per batch too: the
+        sampled mean depends only on the first ``sample_size`` rows of the
+        predicate's source window, and no check mutates a window. A reuse
+        still charges ``probe_charge`` once per sampled row, so the clock
+        sees the same charges at the same points.
         """
         self._memo.clear()
+        self._sampled.clear()
 
     def match_rate(self, prefix: Sequence[str], target: str) -> float:
         """Expected matches in ``target`` per prefix tuple (memoized per batch)."""
@@ -100,26 +109,36 @@ class MatchRateEstimator:
             return float(len(self.relations[target]))
         estimates: List[float] = []
         for predicate in predicates:
-            target_ref = predicate.side_for(target)
-            source_ref = predicate.other_side(target)
-            source = self.relations[source_ref.relation]
-            target_relation = self.relations[target_ref.relation]
-            sample = list(
-                itertools.islice(source.rows(), self.config.sample_size)
-            )
-            if not sample:
-                # No prefix data yet: fall back to |R| / distinct values.
-                estimates.append(self._structural_estimate(target, target_ref))
-                continue
-            position = self.graph.attr_position(source_ref)
-            total = 0
-            for row in sample:
-                self._charge(self.config.probe_charge)
-                total += target_relation.match_count(
-                    target_ref.attribute, row.values[position]
-                )
-            estimates.append(total / len(sample))
+            sampled = self._sampled.get((predicate, target))
+            if sampled is None:
+                sampled = self._sample_predicate(predicate, target)
+                self._sampled[(predicate, target)] = sampled
+            else:
+                for _ in range(sampled[0]):
+                    self._charge(self.config.probe_charge)
+            estimates.append(sampled[1])
         return min(estimates)
+
+    def _sample_predicate(
+        self, predicate: EquiPredicate, target: str
+    ) -> Tuple[int, float]:
+        """(rows sampled, mean target matches per sampled source row)."""
+        target_ref = predicate.side_for(target)
+        source_ref = predicate.other_side(target)
+        source = self.relations[source_ref.relation]
+        target_relation = self.relations[target_ref.relation]
+        sample = list(itertools.islice(source.rows(), self.config.sample_size))
+        if not sample:
+            # No prefix data yet: fall back to |R| / distinct values.
+            return 0, self._structural_estimate(target, target_ref)
+        position = self.graph.attr_position(source_ref)
+        total = 0
+        for row in sample:
+            self._charge(self.config.probe_charge)
+            total += target_relation.match_count(
+                target_ref.attribute, row.values[position]
+            )
+        return len(sample), total / len(sample)
 
     def _structural_estimate(self, target: str, target_ref) -> float:
         relation = self.relations[target]
@@ -198,6 +217,10 @@ class AGreedyOrderer:
         self._last_reorder_at: Dict[str, int] = {}
         self._pending: Dict[str, Tuple[str, ...]] = {}
         self.reorders = 0
+
+    def next_due(self) -> int:
+        """The update count at which :meth:`maybe_reorder` next checks."""
+        return self._last_check_updates + self.config.interval_updates
 
     def maybe_reorder(self) -> List[str]:
         """Recompute greedy orders if the cadence elapsed; returns the

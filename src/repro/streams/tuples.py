@@ -174,7 +174,8 @@ class CompositeTuple:
 
     def identity(self, order: Iterable[str]) -> tuple:
         """A hashable identity: the rids of the bound rows, in ``order``."""
-        return tuple(self._rows[r].rid for r in order)
+        rows = self._rows
+        return tuple([rows[r].rid for r in order])
 
     def __contains__(self, relation: str) -> bool:
         return relation in self._rows

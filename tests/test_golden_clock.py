@@ -11,7 +11,9 @@ so in its description::
     PYTHONPATH=src python tests/test_golden_clock.py
 
 ``tests/data/golden_clock.json`` was recorded on the commit before the
-pipelines were compiled at plan-switch time (PR 13's parent).
+pipelines were compiled at plan-switch time (PR 13's parent);
+``star6_timed_budget`` was added later, recorded on the commit before the
+adaptivity hooks ran only when due.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Callable, Dict, Tuple
 
 import pytest
 
-from repro.api import Session
-from repro.parallel.bench import bench_engine_config
+from repro.api import EngineConfig, Session
+from repro.parallel.bench import bench_engine_config, bench_tuning
 from repro.planner.enumeration import measured_run
 from repro.scenarios.library import SCENARIOS, build_scenario_workload
 from repro.streams.events import batched
@@ -40,12 +42,30 @@ def _scenario(name: str) -> Callable[[int], Workload]:
     return lambda arrivals: build_scenario_workload(SCENARIOS[name], arrivals)
 
 
-# name -> (workload builder, arrivals, batch size)
-WORKLOADS: Dict[str, Tuple[Callable[[int], Workload], int, int]] = {
-    "star6_batch1": (_star6, 3_000, 1),
-    "star6_batch64": (_star6, 3_000, 64),
-    "key_skew_churn": (_scenario("key_skew_churn"), 2_000, 1),
-    "delete_storm": (_scenario("delete_storm"), 6_000, 1),
+def _timed_budget_config(batch_size: int) -> EngineConfig:
+    """The bench config on the branches the other entries never take: the
+    RNG profile gate, the seconds re-optimization interval, and a memory
+    budget small enough that runtime enforcement evicts caches."""
+    tuning = bench_tuning()
+    tuning.profiler.deterministic_gate = False
+    tuning.reoptimizer.reopt_interval_updates = None
+    tuning.reoptimizer.reopt_interval_seconds = 0.03
+    tuning.reoptimizer.memory_budget_bytes = 30_000
+    return EngineConfig(tuning=tuning, batch_size=batch_size)
+
+
+# name -> (workload builder, arrivals, batch size, engine config builder)
+WORKLOADS: Dict[
+    str,
+    Tuple[Callable[[int], Workload], int, int, Callable[[int], EngineConfig]],
+] = {
+    "star6_batch1": (_star6, 3_000, 1, bench_engine_config),
+    "star6_batch64": (_star6, 3_000, 64, bench_engine_config),
+    "star6_timed_budget": (_star6, 6_000, 1, _timed_budget_config),
+    "key_skew_churn": (
+        _scenario("key_skew_churn"), 2_000, 1, bench_engine_config
+    ),
+    "delete_storm": (_scenario("delete_storm"), 6_000, 1, bench_engine_config),
 }
 
 
@@ -75,9 +95,9 @@ DRIVERS: Dict[str, Callable[[Session, Workload, int], None]] = {
 
 def measure(name: str, driver: str = "loop") -> Dict[str, object]:
     """Run one workload on the bench config; return what is pinned."""
-    build, arrivals, batch_size = WORKLOADS[name]
+    build, arrivals, batch_size, config = WORKLOADS[name]
     workload = build(arrivals)
-    session = Session.adaptive(workload, bench_engine_config(batch_size))
+    session = Session.adaptive(workload, config(batch_size))
     DRIVERS[driver](session, workload, arrivals)
     ctx = session.ctx
     return {
@@ -109,6 +129,7 @@ def test_golden_runs_exercise_adaptivity():
         assert values["reoptimizations"] > 0, name
     assert golden["star6_batch1"]["cache_hits"] > 0
     assert golden["star6_batch1"]["used_caches"]
+    assert golden["star6_timed_budget"]["reoptimizations"] > 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ With ``Observability.tracing(sample_every=N)`` the engine's counters stay
 exact on every update while the timing instrumentation — span pairs,
 latency histograms, per-update trace events — is taken on one update in
 N. Nothing of it may reach the virtual clock or the adaptive decisions:
-the four golden-clock workloads must read exactly what they read with
+the golden-clock workloads must read exactly what they read with
 telemetry off.
 """
 
@@ -16,7 +16,6 @@ import pytest
 from repro import obs as obs_mod
 from repro.api import Session
 from repro.obs import Observability
-from repro.parallel.bench import bench_engine_config
 from repro.service.server import TELEMETRY_SAMPLE_EVERY
 from repro.streams.events import batched
 from tests.test_golden_clock import GOLDEN, WORKLOADS
@@ -29,9 +28,9 @@ SPANS_PER_TIMED_UPDATE = 8
 
 
 def _run(name, observability):
-    build, arrivals, batch_size = WORKLOADS[name]
+    build, arrivals, batch_size, config = WORKLOADS[name]
     workload = build(arrivals)
-    session = Session.adaptive(workload, bench_engine_config(batch_size))
+    session = Session.adaptive(workload, config(batch_size))
     with obs_mod.session(observability):
         session.plan   # built here, so the engine adopts the session
     updates = workload.updates(arrivals)

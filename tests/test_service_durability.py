@@ -89,6 +89,16 @@ def test_checkpoint_size_does_not_grow_with_processed_updates(tmp_path):
             while client.status("q")["processed_seq"] < updates:
                 _ingest(client, 1, per_batch=20, start=batches * 20)
                 batches += 1
+            # The worker publishes processed_seq before it writes the
+            # interval checkpoint, so wait for the checkpoint that must
+            # follow: fewer than checkpoint_interval updates behind.
+            processed = client.status("q")["processed_seq"]
+            deadline = time.monotonic() + 30.0
+            while not store.seqs() or store.seqs()[-1] <= processed - 1_000:
+                assert time.monotonic() < deadline, (
+                    f"no checkpoint within 1,000 updates of {processed}"
+                )
+                time.sleep(0.01)
             seq = store.seqs()[-1]
             return seq, os.path.getsize(store.path_for(seq))
 
