@@ -19,7 +19,7 @@ why no multiplicity counting is needed here (contrast with
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caching.key import CacheKey
 from repro.caching.store import (
@@ -31,6 +31,9 @@ from repro.caching.store import (
 from repro.streams.tuples import CompositeTuple
 
 DEFAULT_BUCKETS = 256
+
+# Equal to no entry key: starts maintain_each's first run.
+_NO_KEY = object()
 
 
 class Cache:
@@ -125,26 +128,49 @@ class Cache:
         self, composite: CompositeTuple, updated_relation: str = ""
     ) -> bool:
         """Apply ``insert(u, r)``: ignored unless key ``u`` is present."""
-        value = self.store.get(self.key.entry_key(composite))
-        if value is None:
-            return False
-        identity = composite.identity(self._canonical_order)
-        if identity not in value:
-            value[identity] = self._segment_part(composite)
-            self._memory_bytes += self._composite_bytes
-        return True
+        return self.maintain_each((composite,), updated_relation, True)[0]
 
     def maintain_delete(
         self, composite: CompositeTuple, updated_relation: str = ""
     ) -> bool:
         """Apply ``delete(u, r)``: ignored unless key ``u`` is present."""
-        value = self.store.get(self.key.entry_key(composite))
-        if value is None:
-            return False
-        identity = composite.identity(self._canonical_order)
-        if value.pop(identity, None) is not None:
-            self._memory_bytes -= self._composite_bytes
-        return True
+        return self.maintain_each((composite,), updated_relation, False)[0]
+
+    def maintain_each(
+        self,
+        composites: Sequence[CompositeTuple],
+        updated_relation: str,
+        insert: bool,
+    ) -> List[bool]:
+        """Apply ``insert(u, r)`` (or ``delete``) for every composite, in
+        order; each result is True when its key ``u`` was present.
+
+        The entry is read once per run of equal entry keys: inserting or
+        deleting one composite never adds or removes the entry, so the
+        next composite with the same key would find the same value.
+        """
+        entry_key = self.key.entry_key
+        get = self.store.get
+        present: List[bool] = []
+        last_key = _NO_KEY
+        value = None
+        for composite in composites:
+            key = entry_key(composite)
+            if key != last_key:
+                last_key = key
+                value = get(key)
+            if value is None:
+                present.append(False)
+                continue
+            identity = composite.identity(self._canonical_order)
+            if insert:
+                if identity not in value:
+                    value[identity] = self._segment_part(composite)
+                    self._memory_bytes += self._composite_bytes
+            elif value.pop(identity, None) is not None:
+                self._memory_bytes -= self._composite_bytes
+            present.append(True)
+        return present
 
     def invalidate(self, probe_key: tuple) -> bool:
         """Drop one entry wholesale (always consistent); True if present."""

@@ -34,7 +34,7 @@ produce no outputs downstream anyway, so a hit never loses results.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.caching.cache import Cache
 from repro.caching.key import CacheKey
@@ -75,39 +75,35 @@ class GlobalCache(Cache):
     # ------------------------------------------------------------------
     # maintenance path (CacheUpdate taps pass the updated relation)
     # ------------------------------------------------------------------
-    def maintain_insert(
-        self, composite: CompositeTuple, updated_relation: str = ""
-    ) -> bool:
-        # Inserts behave identically for segment and anchor updates: make
-        # sure the projected composite is present (idempotent set-add).
-        """Set-insert the projected composite (segment or anchor insert)."""
-        value = self.store.get(self.key.entry_key(composite))
-        if value is None:
-            return False
-        identity = composite.identity(self._canonical_order)
-        if identity not in value:
-            value[identity] = self._segment_part(composite)
-            self._memory_bytes += self._composite_bytes
-        return True
+    # Both go through maintain_each below. They are bound on this class
+    # as well so that per-class method instrumentation sees GlobalCache
+    # maintenance apart from plain Cache maintenance.
+    maintain_insert = Cache.maintain_insert
+    maintain_delete = Cache.maintain_delete
 
-    def maintain_delete(
-        self, composite: CompositeTuple, updated_relation: str = ""
-    ) -> bool:
-        """Segment delete removes the composite; anchor delete invalidates the entry."""
-        entry_key = self.key.entry_key(composite)
-        value = self.store.get(entry_key)
-        if value is None:
-            return False
-        if updated_relation in self.anchor:
-            # Anchor delete: the affected composites may retain other
-            # witnesses we do not count, so invalidate the entry wholesale.
-            self.invalidate(entry_key)
-            self.invalidations += 1
-            return True
-        identity = composite.identity(self._canonical_order)
-        if value.pop(identity, None) is not None:
-            self._memory_bytes -= self._composite_bytes
-        return True
+    def maintain_each(
+        self,
+        composites: Sequence[CompositeTuple],
+        updated_relation: str,
+        insert: bool,
+    ) -> List[bool]:
+        """As :meth:`Cache.maintain_each`, for the Section 6 scheme.
+
+        Inserts (segment or anchor) set-insert the projected composite,
+        and a segment delete removes it. An anchor delete invalidates the
+        whole entry: the affected composites may keep other witnesses
+        that are not counted. Each composite then re-reads the entry, so
+        later composites of the same key find none.
+        """
+        if insert or updated_relation not in self.anchor:
+            return super().maintain_each(composites, updated_relation, insert)
+        entry_key = self.key.entry_key
+        present: List[bool] = []
+        for composite in composites:
+            invalidated = self.invalidate(entry_key(composite))
+            self.invalidations += invalidated
+            present.append(invalidated)
+        return present
 
     def __repr__(self) -> str:
         seg = "⋈".join(self.segment)

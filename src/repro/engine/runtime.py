@@ -43,6 +43,10 @@ class StaticPlan:
         """The execution context (clock, cost model, metrics)."""
         return self.executor.ctx
 
+    def memory_in_use(self) -> int:
+        """Bytes held by the wired cache stores (shared counted once)."""
+        return self.wiring.memory_bytes()
+
 
 def _build_static_plan(
     workload: Workload,

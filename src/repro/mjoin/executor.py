@@ -274,14 +274,6 @@ class MJoinExecutor:
         else:
             relation.delete(update.row)
 
-    def memory_in_use(self) -> int:
-        """Bytes held by all caches attached to the pipelines."""
-        total = 0
-        for pipeline in self.pipelines.values():
-            for lookup in pipeline.active_lookups():
-                total += lookup.cache.memory_bytes
-        return total
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         plans = "; ".join(repr(p) for p in self.pipelines.values())
         return f"MJoinExecutor({plans})"

@@ -96,33 +96,41 @@ class CacheUpdate:
         sign: Sign,
         ctx: ExecContext,
     ) -> None:
-        """Run the maintenance calls for a batch of delta composites."""
-        clock, cm = ctx.clock, ctx.cost_model
-        cache, owner = self.cache, self.owner
-        maintain = (
-            cache.maintain_insert if sign is Sign.INSERT
-            else cache.maintain_delete
-        )
+        """Run the maintenance calls for a batch of delta composites.
+
+        :meth:`Cache.maintain_each` applies the deltas, reading each run of
+        equal entry keys once. Each delta is then charged a check (a call
+        on an absent key is only a hash + bucket check, ignored per
+        Section 3.2), then the apply cost if its entry was present.
+        """
+        cm = ctx.cost_model
+        charge = ctx.clock.charge
+        check, apply_cost = cm.cache_maintain_check, cm.cache_maintain
+        cache = self.cache
         ctx.metrics.cache_maintenance_calls += len(composites)
+        present = cache.maintain_each(
+            composites, self.owner, sign is Sign.INSERT
+        )
         applied_count = 0
-        # Micro-batch mode: group same-key deltas behind one hash +
-        # bucket check; each applied delta still pays its own cost.
-        checked_keys = None
-        if ctx.probe_memo is not None and len(composites) > 1:
+        if ctx.probe_memo is None or len(composites) == 1:
+            for applied in present:
+                charge(check)
+                if applied:
+                    applied_count += 1
+                    charge(apply_cost)
+        else:
+            # Micro-batch mode: same-key deltas share one hash + bucket
+            # check; each applied delta still pays its own cost.
             checked_keys = set()
-        for composite in composites:
-            # A call on an absent key is only a hash + bucket check
-            # (ignored per Section 3.2); applying a delta costs more.
-            if checked_keys is None:
-                clock.charge(cm.cache_maintain_check)
-            else:
-                entry_key = cache.maintenance_key(composite)
+            maintenance_key = cache.maintenance_key
+            for composite, applied in zip(composites, present):
+                entry_key = maintenance_key(composite)
                 if entry_key not in checked_keys:
                     checked_keys.add(entry_key)
-                    clock.charge(cm.cache_maintain_check)
-            if maintain(composite, owner):
-                applied_count += 1
-                clock.charge(cm.cache_maintain)
+                    charge(check)
+                if applied:
+                    applied_count += 1
+                    charge(apply_cost)
         counters = self.counters
         if counters is not None and composites:
             calls, applied_total = counters
@@ -156,9 +164,10 @@ class BloomLookup:
         ctx: ExecContext,
         sign: Sign = Sign.INSERT,
     ) -> List[float]:
-        """Feed probe keys; return any completed window observations."""
-        if self.estimator.paused:
-            return []
+        """Feed probe keys; return any completed window observations.
+
+        The pipeline skips the tap while its estimator is paused.
+        """
         clock, cm = ctx.clock, ctx.cost_model
         observations = []
         is_insert = sign is Sign.INSERT

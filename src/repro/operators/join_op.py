@@ -41,6 +41,8 @@ class ProbePlan(NamedTuple):
     ``residuals`` are the ``(target_position, prior_relation,
     prior_position)`` checks that are actually evaluated: the ones the
     composite invariant (see :class:`JoinOperator`) does not already imply.
+    ``slots`` are the prior ``(relation, position)`` slots the match set
+    depends on: the probe slot (index plans), then each residual's.
     """
 
     epoch: int                      # Relation.index_epoch this was resolved at
@@ -49,6 +51,7 @@ class ProbePlan(NamedTuple):
     probe_position: Optional[int]
     charged: int
     residuals: Tuple[Tuple[int, str, int], ...]
+    slots: Tuple[Tuple[str, int], ...]
 
 
 class JoinOperator:
@@ -91,6 +94,18 @@ class JoinOperator:
             )
         self.relation = relation
         self._plan: Optional[ProbePlan] = None
+        # The batch-memo signature's (target_position, prior slot) pairs,
+        # in the order ``sorted`` would put them. Pairs that share a target
+        # position carry equal values by the composite invariant, so their
+        # order cannot matter — unless two of them read attributes of one
+        # prior relation (never compared upstream), where only sorting the
+        # values reproduces the canonical tuple.
+        self._memo_slots: Tuple[Tuple[int, str, int], ...] = tuple(sorted(
+            (b.target_position, b.prior_relation, b.prior_position)
+            for b in self._bound
+        ))
+        pairs = [(b.target_position, b.prior_relation) for b in self._bound]
+        self._memo_sorted = len(set(pairs)) < len(pairs)
 
     def bind(self, relation: Relation) -> "JoinOperator":
         """Attach the live relation state this operator joins against."""
@@ -134,31 +149,50 @@ class JoinOperator:
         ``(target_position, value)`` constraint pairs, so a memo hit is
         exact; reuse charges ``batch_memo_hit`` instead of the probe and
         residual-verification costs.
+
+        Outside a micro-batch, composites of one call that agree on the
+        plan's probe value and residual values share one match set, read
+        once (:meth:`_apply_grouped`); each is still charged as if it had
+        probed alone.
         """
-        plan = self.probe_plan()
-        clock, cm = ctx.clock, ctx.cost_model
+        plan = self._plan
+        if plan is None or plan.epoch != self.relation.index_epoch:
+            plan = self.probe_plan()
         memo = ctx.probe_memo
+        clock, cm = ctx.clock, ctx.cost_model
         target = self.target
+        if memo is None:
+            if len(composites) != 1:
+                return self._apply_grouped(composites, plan, ctx)
+            # One composite has nothing to share a read with, and most
+            # calls carry one where updates fan out little: grouping would
+            # only add its bookkeeping.
+            composite = composites[0]
+            matches = self._matches(composite, plan, cm, clock.charge)
+            clock.charge(cm.per_match * len(matches))
+            return composite.extended_each(target, matches)
         outputs: List[CompositeTuple] = []
         for composite in composites:
-            if memo is None:
-                matches = self._matches(composite, plan, ctx)
+            signature = self.memo_signature(composite)
+            matches = memo.get(target, signature)
+            if matches is not None:
+                clock.charge(cm.batch_memo_hit)
             else:
-                value = composite.value
-                signature = tuple(sorted([
-                    (b.target_position,
-                     value(b.prior_relation, b.prior_position))
-                    for b in self._bound
-                ]))
-                matches = memo.get(target, signature)
-                if matches is not None:
-                    clock.charge(cm.batch_memo_hit)
-                else:
-                    matches = self._matches(composite, plan, ctx)
-                    memo.put(target, signature, matches)
+                matches = self._matches(composite, plan, cm, clock.charge)
+                memo.put(target, signature, matches)
             clock.charge(cm.per_match * len(matches))
             outputs += composite.extended_each(target, matches)
         return outputs
+
+    def memo_signature(self, composite: CompositeTuple) -> tuple:
+        """The ``BatchProbeMemo`` key: the sorted ``(target_position,
+        value)`` constraint pairs the bound predicates impose."""
+        value = composite.value
+        signature = tuple([
+            (position, value(relation, prior_position))
+            for position, relation, prior_position in self._memo_slots
+        ])
+        return tuple(sorted(signature)) if self._memo_sorted else signature
 
     def match_rows(
         self, composite: CompositeTuple, ctx: ExecContext
@@ -167,7 +201,9 @@ class JoinOperator:
 
         Used by witness counting for globally-consistent caches.
         """
-        return self._matches(composite, self.probe_plan(), ctx)
+        return self._matches(
+            composite, self.probe_plan(), ctx.cost_model, ctx.clock.charge
+        )
 
     # ------------------------------------------------------------------
     # matching
@@ -193,10 +229,11 @@ class JoinOperator:
                 residuals.append(
                     (b.target_position, b.prior_relation, b.prior_position)
                 )
+        slots = tuple((r, p) for _, r, p in residuals)
         if index_pred is None:
             return ProbePlan(
                 relation.index_epoch, None, None, None,
-                len(bound), tuple(residuals),
+                len(bound), tuple(residuals), slots,
             )
         return ProbePlan(
             relation.index_epoch,
@@ -205,24 +242,64 @@ class JoinOperator:
             index_pred.prior_position,
             len(bound) - 1,
             tuple(residuals),
+            ((index_pred.prior_relation, index_pred.prior_position),) + slots,
         )
 
+    def _apply_grouped(
+        self,
+        composites: Sequence[CompositeTuple],
+        plan: ProbePlan,
+        ctx: ExecContext,
+    ) -> List[CompositeTuple]:
+        """:meth:`apply` outside a micro-batch: one read per signature.
+
+        A composite's match set depends only on the target window and the
+        values at ``plan.slots``, and nothing changes the window inside
+        one call. So :meth:`_matches` runs once per distinct signature,
+        its charges recorded, and every composite is billed those charges
+        and its per-match charge, in order, as if it had probed alone.
+        """
+        cm = ctx.cost_model
+        charge = ctx.clock.charge
+        target = self.target
+        slots = plan.slots
+        # A one-slot signature is the value itself, not a 1-tuple.
+        single = slots[0] if len(slots) == 1 else None
+        # signature -> (the charges one composite pays, its match set)
+        groups: dict = {}
+        outputs: List[CompositeTuple] = []
+        for composite in composites:
+            if single is None:
+                signature = composite.values_at(slots)
+            else:
+                signature = composite.value(single[0], single[1])
+            group = groups.get(signature)
+            if group is None:
+                billed: List[float] = []
+                rows = self._matches(composite, plan, cm, billed.append)
+                billed.append(cm.per_match * len(rows))
+                group = groups[signature] = (billed, rows)
+            for amount in group[0]:
+                charge(amount)
+            outputs += composite.extended_each(target, group[1])
+        return outputs
+
     def _matches(
-        self, composite: CompositeTuple, plan: ProbePlan, ctx: ExecContext
+        self, composite: CompositeTuple, plan: ProbePlan, cm, charge
     ) -> List[Row]:
-        """Index probe (or nested-loop scan), then the residual filters."""
-        clock, cm = ctx.clock, ctx.cost_model
+        """Index probe (or nested-loop scan), then the residual filters;
+        ``charge`` is called with what they cost."""
         if plan.index_attribute is None:
             rows = list(self.relation.rows())
-            clock.charge(cm.scan_tuple * len(rows))
+            charge(cm.scan_tuple * len(rows))
         else:
-            clock.charge(cm.index_probe)
+            charge(cm.index_probe)
             rows = self.relation.matching(
                 plan.index_attribute,
                 composite.value(plan.probe_relation, plan.probe_position),
             )
         if plan.charged:
-            clock.charge(cm.predicate_eval * len(rows) * plan.charged)
+            charge(cm.predicate_eval * len(rows) * plan.charged)
             for position, prior_relation, prior_position in plan.residuals:
                 wanted = composite.value(prior_relation, prior_position)
                 rows = [row for row in rows if row.values[position] == wanted]

@@ -353,7 +353,17 @@ class Pipeline:
         while composites:
             taps = slot_taps[position]
             if taps is not None:
-                self._run_taps(taps, composites, sign, ctx)
+                updates, blooms = taps
+                for tap in updates:
+                    tap.apply(composites, sign, ctx)
+                for bloom in blooms:
+                    if bloom.estimator.paused:
+                        continue
+                    for observation in bloom.apply(composites, ctx, sign):
+                        if self.observation_sink is not None:
+                            self.observation_sink(
+                                bloom.candidate_id, observation
+                            )
             if position == nops:
                 break
             lookup = lookups[position]
@@ -377,21 +387,6 @@ class Pipeline:
             sample.deltas.extend([0] * (nops + 1 - len(sample.deltas)))
             sample.taus.extend([0.0] * (nops - len(sample.taus)))
         return composites, sample
-
-    def _run_taps(
-        self,
-        taps: tuple,
-        composites: List[CompositeTuple],
-        sign: Sign,
-        ctx: ExecContext,
-    ) -> None:
-        updates, blooms = taps
-        for tap in updates:
-            tap.apply(composites, sign, ctx)
-        for bloom in blooms:
-            for observation in bloom.apply(composites, ctx, sign):
-                if self.observation_sink is not None:
-                    self.observation_sink(bloom.candidate_id, observation)
 
     def _consume_witnesses(
         self,
@@ -422,11 +417,13 @@ class Pipeline:
     ) -> List[CompositeTuple]:
         """Probe the cache for each composite; compute misses per key."""
         clock, cm = ctx.clock, ctx.cost_model
+        charge = clock.charge
         cache = lookup.cache
+        probe, key = cache.probe, lookup.key
         obs = ctx.obs
         timed = obs.timing
-        prof = obs.profiler
         if timed:
+            prof = obs.profiler
             prof.begin("cache_probe:" + cache.name, clock.now_us)
         # Globally-consistent caches anchored on this pipeline's relation:
         # a deletion that is the last owner-side witness of its key must
@@ -437,8 +434,9 @@ class Pipeline:
         check_witnesses = (
             lookup.owner_witness_count if sign is Sign.DELETE else None
         )
-        consumed_keys: set = set()
-        checked_keys: set = set()
+        consumed_keys: Optional[set] = None
+        if check_witnesses is not None:
+            consumed_keys, checked_keys = set(), set()
         # Micro-batch mode: one hash + bucket charge per distinct probe
         # key in this group — the probed values cannot change between two
         # same-key probes of the same call, so the group shares one probe.
@@ -450,33 +448,38 @@ class Pipeline:
         hit_count = 0
         try:
             for composite in composites:
-                probe_key, values = cache.probe(composite, lookup.key)
+                probe_key, values = probe(composite, key)
                 if charged_keys is None:
-                    clock.charge(cm.cache_probe)
+                    charge(cm.cache_probe)
                 elif probe_key not in charged_keys:
                     charged_keys.add(probe_key)
-                    clock.charge(cm.cache_probe)
-                if values is not None:
-                    hit_count += 1
-                ctx.metrics.record_probe(cache.name, hit=values is not None)
+                    charge(cm.cache_probe)
                 if (
                     check_witnesses is not None
                     and probe_key not in checked_keys
                 ):
                     checked_keys.add(probe_key)
-                    clock.charge(cm.index_probe)
+                    charge(cm.index_probe)
                     if check_witnesses(probe_key) <= 1:
                         consumed_keys.add(probe_key)
                         cache.invalidate(probe_key)
                 if values is None:
                     miss_groups.setdefault(probe_key, []).append(composite)
                     continue
-                clock.charge(cm.cache_hit_tuple * len(values))
-                for segment_composite in values:
-                    results.append(composite.merge(segment_composite))
+                hit_count += 1
+                charge(cm.cache_hit_tuple * len(values))
+                results += composite.merged_each(values)
         finally:
             if timed:
                 prof.end(clock.now_us)
+        # The per-probe counts, once per call: the same totals, and a
+        # cache's first hit still creates its per_cache_hits slot.
+        metrics = ctx.metrics
+        metrics.cache_probes += len(composites)
+        if hit_count:
+            metrics.cache_hits += hit_count
+            per_cache = metrics.per_cache_hits
+            per_cache[cache.name] = per_cache.get(cache.name, 0) + hit_count
         counters = lookup.counters
         if counters is not None and composites:
             batches, probed, hits, _ = counters
@@ -494,7 +497,8 @@ class Pipeline:
                     misses=len(composites) - hit_count,
                     sign=sign.name,
                 )
-        timed = timed and bool(miss_groups)
+        if not miss_groups:
+            return results
         if timed:
             prof.begin("cache_store:" + cache.name, clock.now_us)
         try:
@@ -510,16 +514,20 @@ class Pipeline:
         self,
         lookup: CacheLookup,
         miss_groups: Dict[tuple, List[CompositeTuple]],
-        consumed_keys: set,
+        consumed_keys: Optional[set],
         results: List[CompositeTuple],
         ctx: ExecContext,
     ) -> None:
-        """Compute the segment join for each missed key; fill the cache."""
+        """Compute the segment join for each missed key; fill the cache.
+
+        ``consumed_keys`` (None: no delete witness check ran) are keys
+        losing their last owner-side witness: computed, never created.
+        """
         clock, cm = ctx.clock, ctx.cost_model
         cache = lookup.cache
         creates = lookup.counters[3] if lookup.counters is not None else None
         for probe_key, group in miss_groups.items():
-            if probe_key in consumed_keys:
+            if consumed_keys is not None and probe_key in consumed_keys:
                 # Compute through the operators without creating an entry:
                 # the key is losing its last owner-side witness.
                 segment_results = group
@@ -553,8 +561,7 @@ class Pipeline:
             for i, member in enumerate(group):
                 if i > 0:
                     clock.charge(cm.cache_hit_tuple * len(segment_parts))
-                for part in segment_parts:
-                    results.append(member.merge(part))
+                results += member.merged_each(segment_parts)
 
     def __repr__(self) -> str:
         chain = " -> ".join(self.order)

@@ -140,6 +140,21 @@ class CompositeTuple:
             outputs.append(composite)
         return outputs
 
+    def merged_each(
+        self, others: Iterable["CompositeTuple"]
+    ) -> List["CompositeTuple"]:
+        """One :meth:`merge` composite per composite of ``others`` — a
+        cache hit's splice, built without a Python call per output."""
+        base = self._rows
+        outputs = []
+        for other in others:
+            bound = base.copy()
+            bound.update(other._rows)
+            composite = _new_composite(CompositeTuple)
+            composite._rows = bound
+            outputs.append(composite)
+        return outputs
+
     def row(self, relation: str) -> Row:
         """Return the row bound for ``relation`` (KeyError if unbound)."""
         return self._rows[relation]

@@ -6,17 +6,19 @@ the scenarios are small and surgical rather than end-to-end.
 
 import pytest
 
-from repro.api import EngineConfig, build_static_plan
+from repro.api import EngineConfig, Session, build_static_plan
 from repro.caching.bloom import MissProbEstimator
 from repro.caching.cache import Cache
 from repro.caching.key import CacheKey
 from repro.core.candidates import enumerate_candidates
 from repro.core.wiring import CacheWiring
 from repro.mjoin.executor import MJoinExecutor
+from repro.parallel.shard import _memory_in_use
 from repro.relations.predicates import JoinGraph
 from repro.streams.events import Sign
 from repro.streams.tuples import CompositeTuple, RowFactory, Schema
 from repro.streams.workloads import (
+    fig10_workload,
     fig12_workload,
     star_graph,
     three_way_chain,
@@ -199,3 +201,22 @@ class TestStaticPlanSegmentOrderRegression:
         first_op = plan.executor.pipelines["R"].operators[0]
         assert not first_op.is_cross_product()
         assert first_op.target == "S"
+
+
+class TestStaticPlanMemoryRegression:
+    """Static plans once reported 0 cache bytes in every series point and
+    shard result: ``StaticPlan`` had no ``memory_in_use``, so the callers'
+    ``getattr`` fallback read 0 while the wiring held real entries."""
+
+    def test_series_and_shard_report_the_wired_bytes(self):
+        session = Session.static(
+            fig10_workload(250),
+            EngineConfig(orders=CHAIN_ORDERS, candidate_ids=("T:0-1p",)),
+        )
+        series = session.series(arrivals=3_000, sample_every_updates=1_000)
+        plan = session.plan
+        held = plan.wiring.memory_bytes()
+        assert held > 0
+        assert plan.memory_in_use() == held == _memory_in_use(plan)
+        assert series[-1].memory_bytes == held
+        assert all(point.memory_bytes > 0 for point in series)
