@@ -225,9 +225,9 @@ class EngineConfig:
     checkpoint_interval: int = 1000
     wal_fsync_every: int = 64                # WAL records per fsync batch
     cache_recovery: str = "snapshot"         # or "rebuild" (drop caches)
-    # Supervised sharded execution: a SupervisionConfig turns execute()
-    # into a Supervisor run (heartbeats, backoff restarts, circuit
-    # breaker); None keeps the plain unsupervised backends.
+    # Supervision policy for process-backend workers (None: the default
+    # SupervisionConfig). Setting one runs execute() in workers at any
+    # backend or shard count, and allows crash injection.
     supervision: Optional[object] = None
     # Multi-query tenancy (repro.multi): per-tenant reservation bounds
     # against the engine's global memory budget, and whether this query's
@@ -791,14 +791,13 @@ class Session:
         The structured counterpart of :meth:`run`: same dispatch on the
         config's :class:`ShardingConfig` (shard count, backend,
         supervision, adaptivity coordination), but returning the
-        :class:`~repro.parallel.engine.ParallelRun` — or, with a
-        ``supervision`` policy, the :class:`~repro.parallel.supervisor.
-        SupervisedRun` (same merge API) executed under heartbeat
-        monitoring with per-shard checkpoint-resumed restarts — instead
-        of the flattened delta list. Works at any shard count (one shard
-        runs in-process). ``crashes`` (:class:`WorkerCrash` specs) only
-        applies to supervised runs — it injects deterministic worker
-        kills. ``measurement`` kwargs flow into the
+        :class:`~repro.parallel.engine.ParallelRun` (with its workers'
+        ``restarts``/``fallbacks``/``decisions``) instead of the
+        flattened delta list. A ``supervision`` policy runs workers at
+        any shard count (otherwise one shard runs in-process), resumes
+        restarted shards from their checkpoints when journaled, and
+        admits ``crashes`` (:class:`WorkerCrash` specs: deterministic
+        worker kills). ``measurement`` kwargs flow into the
         :class:`ExperimentSpec` (``output_mode``, ``collect_windows``,
         ``stop_after_updates``, ``adaptivity``, ...).
         """

@@ -58,10 +58,9 @@ from repro.faults.chaos import (
     _engine,
     resolve_experiment,
 )
-from repro.parallel.engine import ParallelConfig, run_sharded
+from repro.parallel.engine import ParallelConfig, ParallelRun, run_sharded
 from repro.parallel.spec import ExperimentSpec
 from repro.parallel.supervisor import (
-    SupervisedRun,
     SupervisionConfig,
     Supervisor,
     WorkerCrash,
@@ -237,7 +236,7 @@ def _run_crash_sharded(
     total: int,
     config: RecoveryConfig,
     shards: int,
-) -> Tuple[SupervisedRun, "ParallelRun", int, int]:
+) -> Tuple[ParallelRun, ParallelRun, int, int]:
     """Supervised sharded crash: kill one worker, let supervision heal."""
     spec = _experiment_spec(experiment, total)
     clean = run_sharded(spec, ParallelConfig(shards=shards, backend="serial"))

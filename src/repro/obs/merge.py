@@ -5,9 +5,9 @@ accumulates its own ``MetricsRegistry``, tracer ring, decision log, and
 span profiler — state that previously died with the worker process (the
 ROADMAP's "sharded hit_rate reads 0.0" blind spot). This module defines
 the picklable :class:`TelemetrySnapshot` a shard attaches to its
-:class:`~repro.parallel.shard.ShardResult` (crossing the existing
-``pool.map`` / Supervisor pipe paths unchanged) and the parent-side
-merge that reassembles one global view:
+:class:`~repro.parallel.shard.ShardResult` (crossing the process
+backend's worker pipe unchanged) and the parent-side merge that
+reassembles one global view:
 
 * every counter/gauge/histogram reappears twice — once under a
   ``shard="N"`` label (the per-shard starvation signal) and once as the

@@ -747,8 +747,8 @@ class ThreadChannel:
 class PipeChannel:
     """Worker-side barrier transport over a duplex multiprocessing pipe.
 
-    The parent (plain process backend's serve loop, or the Supervisor's
-    drain loop) owns the :class:`EpochCoordinator`; the worker just
+    The parent (the process backend's Supervisor loop) owns the
+    :class:`EpochCoordinator`; the worker just
     sends ``("snap", epoch, shard, snapshot)`` and blocks until the
     matching ``("plan", CachePlan)`` arrives. Plans for stale epochs
     (possible after a restart raced a delivery) are discarded.

@@ -7,33 +7,36 @@ computation:
   after another. Deterministic, dependency-free, and what tests and CI
   use; the virtual clocks still record per-shard cost, so modeled
   parallel throughput is identical to the process backend's.
-* ``"process"`` — one OS process per shard via :mod:`multiprocessing`.
-  Real wall-clock parallelism on multicore hardware; the experiment spec
-  is pickled to each worker, which rebuilds the workload and replays the
-  stream locally (no per-update IPC).
+* ``"process"`` — one OS process per shard, run by the supervisor in
+  :mod:`repro.parallel.supervisor`. Real wall-clock parallelism on
+  multicore hardware; the spec is pickled to each worker, which rebuilds
+  the workload and replays the stream locally (no per-update IPC).
 
 Because both backends run the exact same per-shard computation on the
 exact same routed sub-streams, their merged outputs and merged statistics
-are equal — a property the test suite asserts.
+are equal — a property the test suite asserts — and so is a restarted
+worker's; either way the run is one :class:`ParallelRun`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParallelError
 from repro.parallel.adaptivity import (
     CachePlan,
     EpochCoordinator,
-    PipeChannel,
     ThreadChannel,
 )
 from repro.parallel.partitioner import PartitionScheme, scheme_for_workload
 from repro.parallel.shard import ShardResult, TaggedDelta, run_shard
 from repro.parallel.spec import ExperimentSpec, ReshardSeed
 from repro.parallel.stats import MergedStats, StatsMerger
+
+if TYPE_CHECKING:  # the supervisor (and multiprocessing) load on first use
+    from repro.parallel.supervisor import Supervisor, WorkerCrash
 
 BACKENDS = ("serial", "process")
 
@@ -73,11 +76,20 @@ class ParallelRun:
     source_updates: int
     wall_seconds: float
     #: the spec that produced this run (enables :meth:`rescale`).
-    spec: Optional[ExperimentSpec] = None
+    spec: ExperimentSpec
     #: coordinator cache plans in epoch order (coordinated runs only).
     cache_plans: Tuple[CachePlan, ...] = ()
     #: coordinator decision records as dicts (coordinated runs only).
     coordinator_decisions: List[dict] = field(default_factory=list)
+    #: supervision history (process runs only): shard -> restart count,
+    #: the circuit-broken shards, and the supervisor's decision records.
+    restarts: Dict[int, int] = field(default_factory=dict)
+    fallbacks: List[int] = field(default_factory=list)
+    decisions: List[Dict[str, object]] = field(default_factory=list)
+
+    @property
+    def total_restarts(self) -> int:
+        return sum(self.restarts.values())
 
     def merged_deltas(self) -> List[TaggedDelta]:
         """All emitted deltas restored to the global arrival order.
@@ -190,11 +202,6 @@ class ParallelRun:
         emissions *inside* one update, which the chronology normalizes —
         the same rid-free form every acaching equivalence check uses).
         """
-        if self.spec is None:
-            raise ParallelError(
-                "rescale needs the originating spec "
-                "(run was built without one)"
-            )
         if self.spec.stop_after_updates is None:
             raise ParallelError(
                 "rescale requires a run stopped at an update boundary "
@@ -212,12 +219,6 @@ class ParallelRun:
             backend=backend if backend is not None else self.backend,
         )
         return ParallelEngine(config).run(resumed)
-
-
-def combined_deltas(first: ParallelRun, second: ParallelRun) -> List[TaggedDelta]:
-    """The full-output chronology of a stopped run plus its rescaled
-    continuation, in global arrival order."""
-    return first.merged_deltas() + second.merged_deltas()
 
 
 def output_chronology(*runs: ParallelRun) -> List[Tuple[int, tuple]]:
@@ -254,56 +255,52 @@ def count_source_updates(spec: ExperimentSpec) -> int:
     return sum(1 for _ in updates)
 
 
-def _coordinated_worker(conn, spec, shard, shard_count) -> None:
-    """Process-backend worker joined to the parent's coordinator."""
-    try:
-        result = run_shard(
-            spec, shard, shard_count, coordination=PipeChannel(conn)
-        )
-        conn.send(("ok", result))
-    except BaseException as error:  # noqa: BLE001 - shipped to the parent
-        try:
-            conn.send(("err", f"{type(error).__name__}: {error}"))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
-
-
-def _run_shard_star(args) -> ShardResult:
-    """Module-level trampoline so Pool.map can pickle the call."""
-    spec, shard, shard_count = args
-    return run_shard(spec, shard, shard_count)
-
-
 class ParallelEngine:
-    """Runs one :class:`ExperimentSpec` sharded and merges the pieces."""
+    """Runs one :class:`ExperimentSpec` sharded and merges the pieces.
 
-    def __init__(self, config: ParallelConfig):
+    Process-backend workers run under ``supervisor`` (a default
+    :class:`Supervisor` when None); giving one also puts a one-shard
+    run in a worker."""
+
+    def __init__(
+        self, config: ParallelConfig, supervisor: Optional[Supervisor] = None
+    ):
         self.config = config
-        self._merger = StatsMerger()
+        self.supervisor = supervisor
 
-    def run(self, spec: ExperimentSpec) -> ParallelRun:
-        """Fan the experiment out over shards and merge the results."""
+    def run(
+        self, spec: ExperimentSpec, crashes: Sequence[WorkerCrash] = ()
+    ) -> ParallelRun:
+        """Fan the experiment out over shards and merge the results;
+        ``crashes`` inject deterministic worker kills."""
         import time
 
         shards = self.config.shards
+        workers = self.config.backend == "process" and (
+            shards > 1 or self.supervisor is not None
+        )
+        for crash in crashes:  # a crash kills a worker process
+            if not workers or crash.shard >= shards:
+                raise ParallelError(
+                    f"crash targets shard {crash.shard}, run has "
+                    f"{shards if workers else 0} worker processes"
+                )
         scheme = scheme_for_workload(spec.workload_factory(), shards)
         coordinator: Optional[EpochCoordinator] = None
         if spec.adaptivity is not None and shards > 1:
             coordinator = EpochCoordinator(spec, shards)
+        history: Dict[str, object] = {}
         started = time.perf_counter()
-        if coordinator is not None:
-            if self.config.backend == "process":
-                results = self._run_process_coordinated(
-                    spec, shards, coordinator
-                )
-            else:
-                results = self._run_threads_coordinated(
-                    spec, shards, scheme, coordinator
-                )
-        elif self.config.backend == "process" and shards > 1:
-            results = self._run_process(spec, shards)
+        if workers:
+            from repro.parallel.supervisor import Supervisor
+
+            results, history = (self.supervisor or Supervisor()).supervise(
+                spec, shards, coordinator, crashes
+            )
+        elif coordinator is not None:
+            results = self._run_threads_coordinated(
+                spec, shards, scheme, coordinator
+            )
         else:
             results = [
                 run_shard(spec, shard, shards, scheme=scheme)
@@ -311,7 +308,7 @@ class ParallelEngine:
             ]
         wall = time.perf_counter() - started
         source_updates = count_source_updates(spec)
-        stats = self._merger.merge(
+        stats = StatsMerger().merge(
             [result.stats for result in results],
             source_updates=source_updates,
         )
@@ -331,6 +328,7 @@ class ParallelEngine:
                 if coordinator
                 else []
             ),
+            **history,
         )
 
     def _run_threads_coordinated(
@@ -382,108 +380,6 @@ class ParallelEngine:
                 f"coordinated shard {shard} failed: {error}"
             ) from error
         return [result for result in results if result is not None]
-
-    def _run_process_coordinated(
-        self,
-        spec: ExperimentSpec,
-        shards: int,
-        coordinator: EpochCoordinator,
-    ) -> List[ShardResult]:
-        """Coordinated shards under the process backend: one process per
-        shard over a duplex pipe; this parent runs the coordinator's
-        serve loop (snapshots in, plans out)."""
-        import multiprocessing
-        import pickle
-
-        ctx = multiprocessing.get_context()
-        states: Dict[int, tuple] = {}
-        try:
-            for shard in range(shards):
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_coordinated_worker,
-                    args=(child_conn, spec, shard, shards),
-                )
-                process.start()
-                child_conn.close()
-                states[shard] = (process, parent_conn)
-        except (pickle.PicklingError, AttributeError, TypeError) as error:
-            raise ParallelError(
-                f"process backend could not ship the experiment to "
-                f"workers: {error}"
-            ) from None
-
-        def push(deliveries) -> None:
-            for target, plan in deliveries:
-                state = states.get(target)
-                if state is None:
-                    continue
-                try:
-                    state[1].send(("plan", plan))
-                except (BrokenPipeError, OSError):
-                    pass  # dying worker; its exit is handled below
-
-        results: Dict[int, ShardResult] = {}
-        failures: List[str] = []
-        live = set(states)
-        while live:
-            for shard in sorted(live):
-                process, conn = states[shard]
-                if conn.poll(0.005):
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        live.discard(shard)
-                        failures.append(
-                            f"shard {shard} died (exit "
-                            f"{process.exitcode})"
-                        )
-                        push(coordinator.retire(shard))
-                        continue
-                    kind = message[0]
-                    if kind == "snap":
-                        _, epoch, snap_shard, snapshot = message
-                        push(coordinator.submit(epoch, snap_shard, snapshot))
-                    elif kind == "ok":
-                        results[shard] = message[1]
-                        live.discard(shard)
-                        push(coordinator.retire(shard))
-                    elif kind == "err":
-                        failures.append(f"shard {shard}: {message[1]}")
-                        live.discard(shard)
-                        push(coordinator.retire(shard))
-                elif not process.is_alive():
-                    live.discard(shard)
-                    failures.append(
-                        f"shard {shard} died (exit {process.exitcode})"
-                    )
-                    push(coordinator.retire(shard))
-        for process, conn in states.values():
-            process.join()
-            conn.close()
-        if failures:
-            raise ParallelError(
-                "coordinated process run failed: " + "; ".join(failures)
-            )
-        return [results[shard] for shard in sorted(results)]
-
-    def _run_process(
-        self, spec: ExperimentSpec, shards: int
-    ) -> List[ShardResult]:
-        import multiprocessing
-        import pickle
-
-        jobs = [(spec, shard, shards) for shard in range(shards)]
-        try:
-            with multiprocessing.Pool(processes=shards) as pool:
-                return pool.map(_run_shard_star, jobs)
-        except (pickle.PicklingError, AttributeError, TypeError) as error:
-            # A spec that cannot be pickled (closure factories) is a
-            # configuration problem, not a crash.
-            raise ParallelError(
-                f"process backend could not ship the experiment to "
-                f"workers: {error}"
-            ) from None
 
 
 def run_sharded(

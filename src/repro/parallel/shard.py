@@ -73,7 +73,7 @@ class ShardResult:
     dead_letters: List[object] = field(default_factory=list)
     # Full worker observability state (a TelemetrySnapshot) when the
     # spec asked for it (collect_obs/profile); rides the same pickle
-    # paths (pool.map and the Supervisor pipe) as everything above.
+    # path (the Supervisor's worker pipe) as everything above.
     telemetry: Optional[object] = None
 
 

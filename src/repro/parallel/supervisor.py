@@ -1,8 +1,8 @@
-"""Supervised parallel execution: heartbeats, restarts, circuit breaker.
+"""The process backend: supervised workers with heartbeats and restarts.
 
-The plain process backend maps shards over a :class:`multiprocessing.
-Pool` and dies with its slowest worker. The :class:`Supervisor` replaces
-that with one monitored :class:`multiprocessing.Process` per shard:
+Every ``backend="process"`` sharded run goes through one
+:class:`Supervisor` loop, which runs one monitored
+:class:`multiprocessing.Process` per shard:
 
 * each worker streams per-shard **heartbeats** (its processed-update
   count) over a pipe; a worker that stops beating for
@@ -17,6 +17,11 @@ that with one monitored :class:`multiprocessing.Process` per shard:
   serially in-parent (still resuming from its checkpoint), so a
   poisoned shard degrades the run instead of hanging it.
 
+On a coordinated run the same pipes carry snapshots up and cache plans
+down. The loop blocks in :func:`multiprocessing.connection.wait` on the
+pipes and process sentinels (never on a polling timer), so a plan goes
+out as soon as its epoch barrier completes.
+
 Deliberate crash injection for tests and the chaos CLI is a
 :class:`WorkerCrash`: kill shard ``shard`` after ``after_updates``
 processed updates, for the first ``attempts`` spawn attempts. Because a
@@ -27,18 +32,19 @@ recovered run is identical to a clean sharded run — the property
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ParallelError
 from repro.obs.decisions import WORKER_FALLBACK, WORKER_RESTART, DecisionLog
 from repro.parallel.adaptivity import EpochCoordinator, PipeChannel
-from repro.parallel.engine import ParallelRun, count_source_updates
-from repro.parallel.partitioner import scheme_for_workload
+from repro.parallel.engine import ParallelConfig, ParallelEngine, ParallelRun
 from repro.parallel.shard import ShardResult, run_shard
 from repro.parallel.spec import ExperimentSpec
-from repro.parallel.stats import StatsMerger
 
 
 @dataclass(frozen=True)
@@ -102,60 +108,6 @@ class WorkerCrash:
             )
 
 
-@dataclass
-class SupervisedRun:
-    """A merged sharded run plus its supervision history."""
-
-    run: ParallelRun
-    restarts: Dict[int, int] = field(default_factory=dict)  # shard -> count
-    fallbacks: List[int] = field(default_factory=list)      # circuit-broken
-    decisions: List[Dict[str, object]] = field(default_factory=list)
-
-    # Delegate the merge API so a SupervisedRun drops in anywhere a
-    # ParallelRun does (Session.run, the chaos harness, tests).
-    @property
-    def stats(self):
-        return self.run.stats
-
-    @property
-    def results(self) -> List[ShardResult]:
-        return self.run.results
-
-    @property
-    def scheme(self):
-        return self.run.scheme
-
-    def merged_deltas(self):
-        return self.run.merged_deltas()
-
-    def merged_canonical(self):
-        return self.run.merged_canonical()
-
-    def merged_windows(self):
-        return self.run.merged_windows()
-
-    def merged_resilience_summary(self):
-        return self.run.merged_resilience_summary()
-
-    def merged_dead_letters(self):
-        return self.run.merged_dead_letters()
-
-    def merged_telemetry(self):
-        return self.run.merged_telemetry()
-
-    @property
-    def cache_plans(self):
-        return self.run.cache_plans
-
-    @property
-    def coordinator_decisions(self):
-        return self.run.coordinator_decisions
-
-    @property
-    def total_restarts(self) -> int:
-        return sum(self.restarts.values())
-
-
 def _supervised_worker(
     conn,
     spec,
@@ -201,29 +153,25 @@ def _supervised_worker(
         conn.close()
 
 
+@dataclass
 class _ShardState:
     """Parent-side bookkeeping for one supervised shard."""
 
-    __slots__ = (
-        "shard", "process", "conn", "spawns", "restarts", "result",
-        "failure", "last_beat", "next_spawn_at", "fallback",
-    )
-
-    def __init__(self, shard: int):
-        self.shard = shard
-        self.process = None
-        self.conn = None
-        self.spawns = 0            # total worker processes started
-        self.restarts = 0          # spawns beyond the first
-        self.result: Optional[ShardResult] = None
-        self.failure: Optional[str] = None
-        self.last_beat = 0.0
-        self.next_spawn_at = 0.0
-        self.fallback = False
+    shard: int
+    crash: Optional[WorkerCrash] = None
+    process: Optional[object] = None
+    conn: Optional[object] = None
+    restarts: int = 0          # worker spawns beyond the first
+    result: Optional[ShardResult] = None
+    failure: Optional[str] = None
+    last_beat: float = 0.0
+    next_spawn_at: float = 0.0
+    fallback: bool = False
 
 
 class Supervisor:
-    """Runs an experiment sharded under restartable worker processes."""
+    """Runs sharded experiments under restartable worker processes —
+    the process backend of :class:`~repro.parallel.engine.ParallelEngine`."""
 
     def __init__(
         self,
@@ -238,12 +186,123 @@ class Supervisor:
         # restarted shard recomputes from scratch — still correct, the
         # work is deterministic, just slower).
         self.recovery = recovery
+        # Run-scoped state, set by supervise(): the decision log, the
+        # experiment, the adaptivity plane's coordinator (None for
+        # uncoordinated runs) and one _ShardState per shard.
         self.decisions = DecisionLog()
-        # Run-scoped adaptivity plane (set by run() when the spec asks
-        # for coordination): the coordinator plus a shard -> _ShardState
-        # map for routing its plan deliveries to live pipes.
+        self._spec: Optional[ExperimentSpec] = None
         self._coordinator: Optional[EpochCoordinator] = None
-        self._states_by_shard: Dict[int, _ShardState] = {}
+        self._states: List[_ShardState] = []
+
+    def run(
+        self,
+        spec: ExperimentSpec,
+        shards: int,
+        crashes: Sequence[WorkerCrash] = (),
+    ) -> ParallelRun:
+        """Fan out, supervise to completion, merge — never hang. Even a
+        one-shard run gets a worker, so crashes can be injected."""
+        return ParallelEngine(
+            ParallelConfig(shards=shards, backend="process"), supervisor=self
+        ).run(spec, crashes=crashes)
+
+    def supervise(
+        self,
+        spec: ExperimentSpec,
+        shards: int,
+        coordinator: Optional[EpochCoordinator],
+        crashes: Sequence[WorkerCrash],
+    ) -> Tuple[List[ShardResult], Dict[str, object]]:
+        """Run every shard in a worker until all have results; return
+        them in shard order with the supervision history as
+        :class:`~repro.parallel.engine.ParallelRun` fields."""
+        crash_by_shard = {crash.shard: crash for crash in crashes}
+        self.decisions = DecisionLog()
+        self._spec, self._coordinator = spec, coordinator
+        self._states = states = [
+            _ShardState(shard, crash_by_shard.get(shard))
+            for shard in range(shards)
+        ]
+        try:
+            for state in states:
+                self._spawn(state)
+            while any(state.result is None for state in states):
+                for state in states:
+                    if state.result is None:
+                        self._step(state)
+                self._wait()
+        finally:
+            # Finished workers are joined only here, so one's exit never
+            # holds up another's result transfer; on an error, no worker
+            # outlives the run.
+            for state in states:
+                if state.result is None and state.process is not None:
+                    state.process.terminate()
+                self._reap(state)
+        return [state.result for state in states], {
+            "restarts": {
+                state.shard: state.restarts
+                for state in states
+                if state.restarts
+            },
+            "fallbacks": [state.shard for state in states if state.fallback],
+            "decisions": [r.to_dict() for r in self.decisions.entries()],
+        }
+
+    # ------------------------------------------------------------------
+    # the loop
+    # ------------------------------------------------------------------
+    def _step(self, state: _ShardState) -> None:
+        """Advance one unfinished shard: spawn it when due, take its
+        messages, and act on its completion, death, or silence."""
+        now = time.monotonic()
+        if state.process is None:
+            if now >= state.next_spawn_at:
+                self._spawn(state)
+            return
+        self._drain(state)
+        if state.result is None and state.failure is None:
+            timeout = self.supervision.heartbeat_timeout_s
+            if not state.process.is_alive():
+                self._drain(state)  # the pipe may hold a final "ok"
+            elif (
+                self._coordinator is not None
+                and state.shard in self._coordinator.waiting
+            ):
+                # Blocked at an epoch barrier: provably alive (it just
+                # submitted a snapshot) but unable to beat until the
+                # plan arrives — don't count the silence.
+                state.last_beat = now
+                return
+            elif now - state.last_beat > timeout:
+                state.process.terminate()
+                state.failure = (
+                    f"no heartbeat for {timeout:.1f}s; worker killed"
+                )
+            else:
+                return
+        if state.result is not None:
+            self._retire_shard(state.shard)
+        else:
+            self._on_failure(state)
+
+    def _wait(self) -> None:
+        """Block until a live pipe or process sentinel is ready, or until
+        the next heartbeat deadline or due respawn."""
+        ready, deadlines = [], []
+        timeout = self.supervision.heartbeat_timeout_s
+        for state in self._states:
+            if state.result is not None:
+                continue
+            if state.process is None:
+                deadlines.append(state.next_spawn_at)
+                continue
+            ready.append(state.process.sentinel)
+            if state.conn is not None:
+                ready.append(state.conn)
+            deadlines.append(state.last_beat + timeout)
+        if deadlines:
+            wait(ready, timeout=max(0.0, min(deadlines) - time.monotonic()))
 
     # ------------------------------------------------------------------
     # plumbing
@@ -253,13 +312,12 @@ class Supervisor:
             return None
         return self.recovery.for_shard(shard)
 
-    def _spawn(self, spec, state: _ShardState, shards: int, crash) -> None:
-        import multiprocessing
-
-        state.spawns += 1
+    def _spawn(self, state: _ShardState) -> None:
+        """Start a worker for ``state``'s shard — the one place sharded
+        runs start processes."""
         kill_after = None
-        if crash is not None and state.spawns <= crash.attempts:
-            kill_after = crash.after_updates
+        if state.crash is not None and state.restarts < state.crash.attempts:
+            kill_after = state.crash.after_updates
         coordinate = self._coordinator is not None
         # Coordinated workers need the downstream direction for plans.
         parent_conn, child_conn = multiprocessing.Pipe(duplex=coordinate)
@@ -267,17 +325,26 @@ class Supervisor:
             target=_supervised_worker,
             args=(
                 child_conn,
-                spec,
+                self._spec,
                 state.shard,
-                shards,
+                len(self._states),
                 self._shard_recovery(state.shard),
                 kill_after,
                 self.supervision.heartbeat_every_updates,
                 coordinate,
             ),
+            daemon=True,
         )
-        process.daemon = True
-        process.start()
+        try:
+            process.start()
+        except (pickle.PicklingError, AttributeError, TypeError) as error:
+            # Spawn/forkserver start methods pickle the spec here; one
+            # that cannot be pickled (closure factories) is a
+            # configuration problem, not a crash.
+            raise ParallelError(
+                f"process backend could not ship the experiment to "
+                f"workers: {error}"
+            ) from None
         child_conn.close()
         state.process = process
         state.conn = parent_conn
@@ -294,8 +361,8 @@ class Supervisor:
     def _push_plans(self, deliveries) -> None:
         """Route coordinator plan deliveries to their shards' pipes."""
         for shard, plan in deliveries:
-            target = self._states_by_shard.get(shard)
-            if target is None or target.conn is None:
+            target = self._states[shard]
+            if target.conn is None:
                 continue
             try:
                 target.conn.send(("plan", plan))
@@ -313,6 +380,10 @@ class Supervisor:
             try:
                 message = state.conn.recv()
             except (EOFError, OSError):
+                # The worker closed its end; stop waiting on the pipe
+                # and let the process sentinel report the exit.
+                state.conn.close()
+                state.conn = None
                 return
             kind = message[0]
             if kind == "hb":
@@ -330,10 +401,9 @@ class Supervisor:
                     self._coordinator.submit(epoch, shard, snapshot)
                 )
 
-    def _on_failure(self, spec, state: _ShardState, shards, crash) -> None:
+    def _on_failure(self, state: _ShardState) -> None:
         reason = state.failure or (
-            f"worker exited with code "
-            f"{state.process.exitcode if state.process else '?'}"
+            f"worker exited with code {state.process.exitcode}"
         )
         state.failure = None
         self._reap(state)
@@ -357,9 +427,9 @@ class Supervisor:
             # emitted results.
             self._retire_shard(state.shard)
             state.result = run_shard(
-                spec,
+                self._spec,
                 state.shard,
-                shards,
+                len(self._states),
                 recovery=self._shard_recovery(state.shard),
             )
             return
@@ -374,123 +444,4 @@ class Supervisor:
                 f"{reason}; restart {state.restarts}/"
                 f"{self.supervision.max_restarts} in {delay:.3f}s"
             ),
-        )
-
-    # ------------------------------------------------------------------
-    # the supervised run
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        spec: ExperimentSpec,
-        shards: int,
-        crashes: Sequence[WorkerCrash] = (),
-    ) -> SupervisedRun:
-        """Fan out, supervise to completion, merge — never hang."""
-        if shards < 1:
-            raise ParallelError(f"shard count must be >= 1, got {shards}")
-        crash_by_shard = {crash.shard: crash for crash in crashes}
-        for crash in crashes:
-            if crash.shard >= shards:
-                raise ParallelError(
-                    f"crash targets shard {crash.shard}, run has {shards}"
-                )
-        scheme = scheme_for_workload(spec.workload_factory(), shards)
-        self._coordinator = (
-            EpochCoordinator(spec, shards)
-            if spec.adaptivity is not None and shards > 1
-            else None
-        )
-        started = time.perf_counter()
-        states = [_ShardState(shard) for shard in range(shards)]
-        self._states_by_shard = {state.shard: state for state in states}
-        for state in states:
-            self._spawn(spec, state, shards, crash_by_shard.get(state.shard))
-
-        timeout = self.supervision.heartbeat_timeout_s
-        while any(state.result is None for state in states):
-            for state in states:
-                if state.result is not None:
-                    continue
-                if state.process is None:
-                    if time.monotonic() >= state.next_spawn_at:
-                        self._spawn(
-                            spec, state, shards,
-                            crash_by_shard.get(state.shard),
-                        )
-                    continue
-                self._drain(state)
-                if state.result is not None:
-                    self._retire_shard(state.shard)
-                    self._reap(state)
-                    continue
-                if state.failure is not None:
-                    self._on_failure(
-                        spec, state, shards, crash_by_shard.get(state.shard)
-                    )
-                elif not state.process.is_alive():
-                    self._drain(state)  # the pipe may hold a final "ok"
-                    if state.result is None:
-                        self._on_failure(
-                            spec, state, shards,
-                            crash_by_shard.get(state.shard),
-                        )
-                    else:
-                        self._reap(state)
-                elif (
-                    self._coordinator is not None
-                    and state.shard in self._coordinator.waiting
-                ):
-                    # Blocked at an epoch barrier: provably alive (it
-                    # just submitted a snapshot) but unable to beat
-                    # until the plan arrives — don't count the silence.
-                    state.last_beat = time.monotonic()
-                elif time.monotonic() - state.last_beat > timeout:
-                    state.process.terminate()
-                    state.failure = (
-                        f"no heartbeat for {timeout:.1f}s; worker killed"
-                    )
-                    self._on_failure(
-                        spec, state, shards, crash_by_shard.get(state.shard)
-                    )
-            time.sleep(0.005)
-
-        wall = time.perf_counter() - started
-        results = [state.result for state in states]
-        source_updates = count_source_updates(spec)
-        stats = StatsMerger().merge(
-            [result.stats for result in results],
-            source_updates=source_updates,
-        )
-        coordinator = self._coordinator
-        self._coordinator = None
-        self._states_by_shard = {}
-        run = ParallelRun(
-            scheme=scheme,
-            backend="supervised",
-            results=results,
-            stats=stats,
-            source_updates=source_updates,
-            wall_seconds=wall,
-            spec=spec,
-            cache_plans=(
-                coordinator.plans_in_order() if coordinator else ()
-            ),
-            coordinator_decisions=(
-                [
-                    record.to_dict()
-                    for record in coordinator.decisions.entries()
-                ]
-                if coordinator
-                else []
-            ),
-        )
-        return SupervisedRun(
-            run=run,
-            restarts={
-                state.shard: state.restarts
-                for state in states
-                if state.restarts
-            },
-            fallbacks=[state.shard for state in states if state.fallback],
-            decisions=[r.to_dict() for r in self.decisions.entries()],
         )

@@ -238,8 +238,8 @@ def _run_cell(
             if plan.crash
             else []
         )
-        supervised = Supervisor().run(spec, shards, crashes=crashes)
-        run, restarts = supervised, sum(supervised.restarts.values())
+        run = Supervisor().run(spec, shards, crashes=crashes)
+        restarts = run.total_restarts
     else:
         run = run_sharded(
             spec, ParallelConfig(shards=shards, backend="serial")

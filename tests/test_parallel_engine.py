@@ -41,6 +41,7 @@ def test_process_backend_matches_serial_backend_exactly():
         r.stats for r in process.results
     ]
     assert serial.stats.critical_path_us == process.stats.critical_path_us
+    assert process.restarts == {} and process.fallbacks == []
 
 
 def test_modeled_speedup_on_the_star_workload():

@@ -39,10 +39,17 @@ def _spec(**overrides):
 
 
 @pytest.mark.parametrize(
-    "from_shards,to_shards", [(2, 4), (4, 2), (2, 1)]
+    "from_shards,to_shards,backend",
+    [
+        pytest.param(2, 4, "serial", id="2-4"),
+        pytest.param(4, 2, "serial", id="4-2"),
+        pytest.param(2, 1, "serial", id="2-1"),
+        # A stopped process run rescales on its own backend.
+        pytest.param(2, 2, "process", id="2-2-process"),
+    ],
 )
 def test_rescale_output_is_identical_to_a_fixed_shard_run(
-    from_shards, to_shards
+    from_shards, to_shards, backend
 ):
     base = _spec()
     fixed = run_sharded(
@@ -50,9 +57,10 @@ def test_rescale_output_is_identical_to_a_fixed_shard_run(
     )
     stopped = run_sharded(
         replace(base, stop_after_updates=2 * SYNC),
-        ParallelConfig(shards=from_shards, backend="serial"),
+        ParallelConfig(shards=from_shards, backend=backend),
     )
-    resumed = stopped.rescale(to_shards, backend="serial")
+    resumed = stopped.rescale(to_shards)
+    assert resumed.backend == backend
     assert output_chronology(stopped, resumed) == output_chronology(fixed)
     assert resumed.merged_windows() == fixed.merged_windows()
 

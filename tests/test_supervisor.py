@@ -13,11 +13,10 @@ import pytest
 from repro.api import EngineConfig, Session
 from repro.errors import ConfigError
 from repro.obs.decisions import WORKER_FALLBACK, WORKER_RESTART
-from repro.parallel.engine import ParallelConfig, run_sharded
+from repro.parallel.engine import ParallelConfig, ParallelRun, run_sharded
 from repro.parallel.supervisor import (
     SupervisionConfig,
     Supervisor,
-    SupervisedRun,
     WorkerCrash,
 )
 from repro.streams.workloads import fig9_workload
@@ -46,7 +45,7 @@ def clean():
 
 def test_no_crashes_matches_plain_sharded(clean):
     run = Supervisor(FAST_SUPERVISION).run(_spec(), SHARDS)
-    assert isinstance(run, SupervisedRun)
+    assert isinstance(run, ParallelRun) and run.backend == "process"
     assert run.total_restarts == 0 and run.fallbacks == []
     assert run.merged_canonical() == clean.merged_canonical()
     assert run.merged_windows() == clean.merged_windows()
