@@ -27,6 +27,7 @@ from repro.streams.events import (
     Update,
     output_deltas,
 )
+from repro.streams.tuples import CompositeTuple
 
 # (relation, global seq) -> profile this update? The seq enables the
 # deterministic cross-shard gate (ProfilerConfig.deterministic_gate).
@@ -169,7 +170,8 @@ class MJoinExecutor:
         the modeled window-maintenance cost but leaves the window mutation
         to the caller — the multi-query engine routes one update through
         every interested query's pipelines first and applies the shared
-        window change exactly once afterwards.
+        window change exactly once afterwards. The guards (admission, the
+        sampled timing span and trace event) wrap :meth:`_step`.
         """
         resilience = self.resilience
         if resilience is not None and not resilience.admit(update):
@@ -186,35 +188,7 @@ class MJoinExecutor:
             started_us = clock.now_us
             prof.begin("update:" + relation, started_us)
         try:
-            profile = (
-                self.profile_gate is not None
-                and self.profile_gate(relation, update.seq)
-            )
-            memo = ctx.probe_memo
-            if profile and memo is not None:
-                # Profiled tuples measure the true cache-free operator
-                # costs (Appendix A); the batch memo must not shortcut
-                # them.
-                ctx.probe_memo = None
-            try:
-                composites, sample = self.pipelines[relation].process(
-                    update.row, sign, ctx, profile=profile
-                )
-            finally:
-                if profile and memo is not None:
-                    ctx.probe_memo = memo
-            if sample is not None and self.sample_sink is not None:
-                ctx.metrics.profiled_tuples += 1
-                self.sample_sink(relation, sample)
-            self._apply_window_update(update, apply=apply_window)
-            if memo is not None:
-                # The window just changed: every memoized probe of this
-                # relation is now stale.
-                memo.invalidate(relation)
-            clock.charge(ctx.cost_model.output_emit * len(composites))
-            metrics = ctx.metrics
-            metrics.updates_processed += 1
-            metrics.outputs_emitted += len(composites)
+            composites, profile = self._step(update, apply_window)
         finally:
             # The span must close even when the pipeline raises (a poison
             # update must not leave the profiler stack unbalanced).
@@ -235,6 +209,43 @@ class MJoinExecutor:
             resilience.after_update()
         return output_deltas(composites, sign)
 
+    def _step(
+        self, update: Update, apply_window: bool = True
+    ) -> Tuple[List[CompositeTuple], bool]:
+        """One update's join, window write, charges and metrics; returns
+        the output composites and whether the update was profiled."""
+        ctx = self.ctx
+        relation = update.relation
+        profile = (
+            self.profile_gate is not None
+            and self.profile_gate(relation, update.seq)
+        )
+        memo = ctx.probe_memo
+        if profile and memo is not None:
+            # Profiled tuples measure the true cache-free operator costs
+            # (Appendix A); the batch memo must not shortcut them.
+            ctx.probe_memo = None
+        try:
+            composites, sample = self.pipelines[relation].process(
+                update.row, update.sign, ctx, profile=profile
+            )
+        finally:
+            if profile and memo is not None:
+                ctx.probe_memo = memo
+        if sample is not None and self.sample_sink is not None:
+            ctx.metrics.profiled_tuples += 1
+            self.sample_sink(relation, sample)
+        self._apply_window_update(update, apply=apply_window)
+        if memo is not None:
+            # The window just changed: every memoized probe of this
+            # relation is now stale.
+            memo.invalidate(relation)
+        ctx.clock.charge(ctx.cost_model.output_emit * len(composites))
+        metrics = ctx.metrics
+        metrics.updates_processed += 1
+        metrics.outputs_emitted += len(composites)
+        return composites, profile
+
     def process_batch(self, batch: DeltaBatch) -> List[List[OutputDelta]]:
         """Process one micro-batch; returns per-update delta lists.
 
@@ -243,7 +254,9 @@ class MJoinExecutor:
         constraint signature are shared until the probed window changes),
         never *what* it computes, so the returned deltas and the window
         contents are identical to per-update execution. A batch of size 1
-        runs the unmodified per-update path, charge for charge.
+        runs the unmodified per-update path, charge for charge. With no
+        resilience controller and no instrumentation, :meth:`process`
+        would only wrap :meth:`_step`, so the step is called directly.
         """
         if len(batch) == 1:
             return [self.process(batch[0])]
@@ -254,7 +267,12 @@ class MJoinExecutor:
         if installed:
             self.ctx.probe_memo = BatchProbeMemo()
         try:
-            return [self.process(update) for update in batch]
+            if self.resilience is not None or self.ctx.obs.instrumented:
+                return [self.process(update) for update in batch]
+            step = self._step
+            return [
+                output_deltas(step(update)[0], update.sign) for update in batch
+            ]
         finally:
             if installed:
                 self.ctx.probe_memo = None

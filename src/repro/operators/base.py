@@ -59,10 +59,6 @@ class BatchProbeMemo:
         """Drop every entry probing ``target`` (its window changed)."""
         self._by_target.pop(target, None)
 
-    def clear(self) -> None:
-        """Drop everything (end of batch)."""
-        self._by_target.clear()
-
 
 @dataclass
 class ExecContext:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import PlanError
-from repro.operators.base import ExecContext
+from repro.operators.base import BatchProbeMemo, ExecContext
 from repro.relations.predicates import JoinGraph, independent_checks
 from repro.relations.relation import Relation
 from repro.streams.tuples import CompositeTuple, Row
@@ -142,6 +142,10 @@ class JoinOperator:
     ) -> List[CompositeTuple]:
         """Join every input composite with the target relation.
 
+        Composites of one call that agree on the plan's probe value and
+        residual values share one match set, read once; each is still
+        charged as if it had probed alone.
+
         Inside a micro-batch (``ctx.probe_memo`` set) the match set for a
         given constraint signature is computed once and reused — across
         composites, updates, and pipelines — until the target's window
@@ -149,40 +153,26 @@ class JoinOperator:
         ``(target_position, value)`` constraint pairs, so a memo hit is
         exact; reuse charges ``batch_memo_hit`` instead of the probe and
         residual-verification costs.
-
-        Outside a micro-batch, composites of one call that agree on the
-        plan's probe value and residual values share one match set, read
-        once (:meth:`_apply_grouped`); each is still charged as if it had
-        probed alone.
         """
         plan = self._plan
         if plan is None or plan.epoch != self.relation.index_epoch:
             plan = self.probe_plan()
         memo = ctx.probe_memo
-        clock, cm = ctx.clock, ctx.cost_model
-        target = self.target
-        if memo is None:
-            if len(composites) != 1:
+        if len(composites) != 1:
+            if memo is None:
                 return self._apply_grouped(composites, plan, ctx)
-            # One composite has nothing to share a read with, and most
-            # calls carry one where updates fan out little: grouping would
-            # only add its bookkeeping.
-            composite = composites[0]
-            matches = self._matches(composite, plan, cm, clock.charge)
-            clock.charge(cm.per_match * len(matches))
-            return composite.extended_each(target, matches)
-        outputs: List[CompositeTuple] = []
-        for composite in composites:
-            signature = self.memo_signature(composite)
-            matches = memo.get(target, signature)
-            if matches is not None:
-                clock.charge(cm.batch_memo_hit)
-            else:
-                matches = self._matches(composite, plan, cm, clock.charge)
-                memo.put(target, signature, matches)
-            clock.charge(cm.per_match * len(matches))
-            outputs += composite.extended_each(target, matches)
-        return outputs
+            return self._apply_memo_grouped(composites, plan, memo, ctx)
+        # One composite has nothing to share a read with, and most calls
+        # carry one where updates fan out little: grouping would only add
+        # its bookkeeping.
+        composite = composites[0]
+        cm, charge = ctx.cost_model, ctx.clock.charge
+        if memo is None:
+            matches = self._matches(composite, plan, cm, charge)
+        else:
+            matches = self._memo_matches(composite, plan, memo, cm, charge)
+        charge(cm.per_match * len(matches))
+        return composite.extended_each(self.target, matches)
 
     def memo_signature(self, composite: CompositeTuple) -> tuple:
         """The ``BatchProbeMemo`` key: the sorted ``(target_position,
@@ -283,6 +273,60 @@ class JoinOperator:
                 charge(amount)
             outputs += composite.extended_each(target, group[1])
         return outputs
+
+    def _apply_memo_grouped(
+        self,
+        composites: Sequence[CompositeTuple],
+        plan: ProbePlan,
+        memo: BatchProbeMemo,
+        ctx: ExecContext,
+    ) -> List[CompositeTuple]:
+        """:meth:`apply` inside a micro-batch: one memo read per signature.
+
+        Equal ``plan.slots`` values give equal memo signatures by the
+        composite invariant, and the memo changes only between pipeline
+        runs, so every composite after a group's first would find the
+        first's entry: it is charged ``batch_memo_hit`` and counted in
+        ``memo.hits`` without a read.
+        """
+        cm = ctx.cost_model
+        charge = ctx.clock.charge
+        target = self.target
+        slots = plan.slots
+        single = slots[0] if len(slots) == 1 else None
+        groups: dict = {}   # plan-slot signature -> match set
+        outputs: List[CompositeTuple] = []
+        for composite in composites:
+            if single is None:
+                key = composite.values_at(slots)
+            else:
+                key = composite.value(single[0], single[1])
+            matches = groups.get(key)
+            if matches is None:
+                matches = groups[key] = self._memo_matches(
+                    composite, plan, memo, cm, charge
+                )
+            else:
+                memo.hits += 1
+                charge(cm.batch_memo_hit)
+            charge(cm.per_match * len(matches))
+            outputs += composite.extended_each(target, matches)
+        return outputs
+
+    def _memo_matches(
+        self, composite: CompositeTuple, plan: ProbePlan,
+        memo: BatchProbeMemo, cm, charge,
+    ) -> List[Row]:
+        """The memoized match set (charged ``batch_memo_hit``), or
+        :meth:`_matches`'s, which is then memoized."""
+        signature = self.memo_signature(composite)
+        matches = memo.get(self.target, signature)
+        if matches is not None:
+            charge(cm.batch_memo_hit)
+            return matches
+        matches = self._matches(composite, plan, cm, charge)
+        memo.put(self.target, signature, matches)
+        return matches
 
     def _matches(
         self, composite: CompositeTuple, plan: ProbePlan, cm, charge

@@ -73,10 +73,12 @@ class DeltaBatch:
     global order and every window mutation happens at exactly the same
     point as in per-update execution, so the emitted delta multiset and
     the final window contents are identical by construction. What a batch
-    buys is amortization — join-index probes with the same constraint set
-    are computed once per batch (until the probed window changes) instead
-    of once per update, and cache probe/maintenance charges are grouped
-    per distinct key.
+    buys is modeled amortization: a join step's match set for one
+    constraint signature is computed once per batch (until the probed
+    window changes) and reused at ``batch_memo_hit`` in place of the probe
+    and residual charges (``BatchProbeMemo``), and within one call
+    ``cache_probe`` and ``cache_maintain_check`` are charged once per
+    distinct key. The wall-clock gain is smaller (docs/api.md).
 
     A batch of size 1 is processed exactly like a bare update, charge for
     charge.

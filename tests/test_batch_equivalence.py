@@ -11,15 +11,21 @@ which batching changes by design).
 
 from functools import partial
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.api import EngineConfig, Session, build_adaptive_engine
 from repro.engine.drive import drive
 from repro.faults.auditor import AuditorConfig
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.resilience import ResilienceConfig
+from repro.operators.base import BatchProbeMemo
+from repro.parallel.bench import bench_engine_config, bench_tuning
 from repro.parallel.engine import ParallelConfig, run_sharded
+from repro.scenarios.library import SCENARIOS, build_scenario_workload
+from repro.streams.events import DeltaBatch
 from repro.streams.workloads import fig9_workload, three_way_chain
 
 WORKLOADS = {
@@ -185,3 +191,87 @@ def test_batch_one_is_charge_identical_to_unbatched():
     drive(b, wl_b.updates(300), batch_size=1)
     assert a.ctx.clock.now_us == b.ctx.clock.now_us
     assert a.ctx.metrics.updates_processed == b.ctx.metrics.updates_processed
+
+
+# ----------------------------------------------------------------------
+# the executor's batch loop
+# ----------------------------------------------------------------------
+BATCH_LOOP_WORKLOADS = {
+    "star6": partial(fig9_workload, 6, window=48),
+    "delete_storm": lambda: build_scenario_workload(
+        SCENARIOS["delete_storm"], 3_000
+    ),
+}
+
+
+def _memo_per_batch(executor, process_batch, memos):
+    """Route ``executor.process_batch`` through ``process_batch`` under a
+    fresh ``BatchProbeMemo``, kept in ``memos``."""
+    ctx = executor.ctx
+
+    def run(batch):
+        ctx.probe_memo = memo = BatchProbeMemo()
+        memos.append(memo)
+        try:
+            return process_batch(batch)
+        finally:
+            ctx.probe_memo = None
+
+    executor.process_batch = run
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_LOOP_WORKLOADS))
+def test_batch_loop_equals_per_update_process(name):
+    """``process_batch`` calls the update step directly when nothing
+    guards or times an update; under the same memo that must equal a
+    ``process`` call per update, deltas, clock and counters alike."""
+    engines, memos = [], ([], [])
+    for per_update, kept in zip((False, True), memos):
+        workload = BATCH_LOOP_WORKLOADS[name]()
+        engine = build_adaptive_engine(workload, bench_engine_config(64))
+        executor = engine.executor
+        process_batch = (
+            (lambda batch, ex=executor: [ex.process(u) for u in batch])
+            if per_update else executor.process_batch
+        )
+        _memo_per_batch(executor, process_batch, kept)
+        engines.append(engine)
+    updates = list(BATCH_LOOP_WORKLOADS[name]().updates(3_000))
+    for start in range(0, len(updates), 64):
+        batch = DeltaBatch(updates[start:start + 64])
+        batched, looped = (engine.process_batch(batch) for engine in engines)
+        assert [[exact_delta(d) for d in deltas] for deltas in batched] == [
+            [exact_delta(d) for d in deltas] for deltas in looped
+        ]
+        batched_ctx, looped_ctx = (engine.ctx for engine in engines)
+        assert repr(batched_ctx.clock.now_us) == repr(looped_ctx.clock.now_us)
+        assert batched_ctx.metrics == looped_ctx.metrics
+        assert (memos[0][-1].hits, memos[0][-1].misses) == (
+            memos[1][-1].hits, memos[1][-1].misses
+        )
+    metrics = engines[0].ctx.metrics
+    assert metrics.updates_processed == len(updates)
+    assert metrics.profiled_tuples > 0
+    assert sum(memo.hits for memo in memos[0]) > 0
+    if name == "star6":
+        assert metrics.cache_hits > 0
+
+
+@pytest.mark.parametrize(
+    "resilience", [None, NO_SHED_RESILIENCE], ids=["plain", "guarded"]
+)
+def test_instrumented_batch_keeps_per_update_events(resilience):
+    """An instrumented engine still runs every batched update through
+    ``process``: one ``update_processed`` event each, with ``profiled``."""
+    with obs.session() as active:
+        workload = fig9_workload(4, window=24)
+        engine = build_adaptive_engine(
+            workload,
+            EngineConfig(tuning=bench_tuning(), resilience=resilience),
+        )
+        drive(engine, workload.updates(800), batch_size=32)
+    events = active.tracer.events("update_processed")
+    dropped = active.tracer.dropped.get("update_processed", 0)
+    assert len(events) + dropped == engine.ctx.metrics.updates_processed
+    assert all(isinstance(e.data["profiled"], bool) for e in events)
+    assert any(e.data["profiled"] for e in events)

@@ -1,15 +1,17 @@
 """One lookup per distinct key: the grouped hot path equals the
 one-composite-at-a-time path.
 
-Outside a micro-batch ``JoinOperator.apply`` reads each distinct match
-set once per call, and ``CacheUpdate.apply`` always reads each run of
-equal entry keys once, while the clock still charges every composite as
-if it had gone alone (DESIGN.md §7, "per call: one lookup per distinct key"). These
-tests feed random windows and composite lists with repeated keys through
-both paths, under a clock that records every charge, and require equal
-outputs in order, equal charge sequences and equal cache contents and
-metrics. They also pin the batch-memo signature, which is now built from
-slots fixed at construction, to the sorted tuple it replaced.
+``JoinOperator.apply`` reads each distinct match set once per call
+(inside a micro-batch: the batch memo once per distinct signature), and
+``CacheUpdate.apply`` always reads each run of equal entry keys once,
+while the clock still charges every composite as if it had gone alone
+(DESIGN.md §7, "per call: one lookup per distinct key"). These tests feed
+random windows and composite lists with repeated keys through both
+paths, under a clock that records every charge, and require equal
+outputs in order, equal charge sequences and equal cache contents, memo
+contents and metrics. They also pin the batch-memo signature, which is
+now built from slots fixed at construction, to the sorted tuple it
+replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import EngineConfig, Session
@@ -34,7 +36,7 @@ from repro.parallel.bench import bench_tuning
 from repro.relations.predicates import JoinGraph
 from repro.relations.relation import Relation
 from repro.scenarios.library import SCENARIOS, build_scenario_workload
-from repro.streams.events import Sign
+from repro.streams.events import DeltaBatch, Sign
 from repro.streams.tuples import CompositeTuple, RowFactory, Schema
 from repro.streams.workloads import fig9_workload, star_graph
 from tests.test_probe_plan_properties import _eager_tuning, join_cases
@@ -111,6 +113,25 @@ def _rows_of(graph, relation, factory, draw):
     return factory.make(tuple(draw(small_values) for _ in range(width)))
 
 
+def _draw_composites(graph, operator, factory, draw, min_size=2):
+    """Composites over the operator's prior relations; few distinct
+    values, so keys repeat, and some composites are reused."""
+    composites = []
+    for _ in range(draw(st.integers(min_size, 10))):
+        if composites and draw(st.booleans()):
+            composites.append(draw(st.sampled_from(composites)))
+            continue
+        composite = None
+        for relation in operator.prior:
+            row = _rows_of(graph, relation, factory, draw)
+            composite = (
+                CompositeTuple.of(relation, row) if composite is None
+                else composite.extended(relation, row)
+            )
+        composites.append(composite)
+    return composites
+
+
 @pytest.mark.parametrize("name", sorted(JOIN_CASES))
 @settings(
     max_examples=60, deadline=None,
@@ -124,20 +145,7 @@ def test_grouped_join_equals_one_at_a_time(name, data, monkeypatch):
         operator.relation.insert(
             _rows_of(graph, operator.target, factory, data.draw)
         )
-    composites = []
-    # Few distinct values, so keys repeat; some composites are reused.
-    for _ in range(data.draw(st.integers(2, 10))):
-        if composites and data.draw(st.booleans()):
-            composites.append(data.draw(st.sampled_from(composites)))
-            continue
-        composite = None
-        for relation in operator.prior:
-            row = _rows_of(graph, relation, factory, data.draw)
-            composite = (
-                CompositeTuple.of(relation, row) if composite is None
-                else composite.extended(relation, row)
-            )
-        composites.append(composite)
+    composites = _draw_composites(graph, operator, factory, data.draw)
 
     reads = []
     matching = Relation.matching
@@ -443,3 +451,222 @@ def test_memo_signature_on_random_graphs(case, monkeypatch):
         assert operator.memo_signature(composite) == _sorted_signature(
             operator, composite
         )
+
+
+# ----------------------------------------------------------------------
+# the join step inside a micro-batch
+# ----------------------------------------------------------------------
+def _memo_loop(operator, composites, ctx):
+    """Reference: one memo read per composite, as the micro-batch join
+    step ran before it grouped composites by signature."""
+    plan = operator.probe_plan()
+    memo, cm, charge = ctx.probe_memo, ctx.cost_model, ctx.clock.charge
+    target = operator.target
+    outputs = []
+    for composite in composites:
+        signature = operator.memo_signature(composite)
+        matches = memo.get(target, signature)
+        if matches is not None:
+            charge(cm.batch_memo_hit)
+        else:
+            matches = operator._matches(composite, plan, cm, charge)
+            memo.put(target, signature, matches)
+        charge(cm.per_match * len(matches))
+        outputs += composite.extended_each(target, matches)
+    return outputs
+
+
+class CountingMemo(BatchProbeMemo):
+    """A batch memo that counts its reads."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads = 0
+
+    def get(self, target, signature):
+        self.reads += 1
+        return super().get(target, signature)
+
+
+def _holds_invariant(graph, relations, composite):
+    """Whether ``composite`` satisfies every join predicate among the
+    ``relations`` it binds."""
+    for i, target in enumerate(relations[1:], 1):
+        for pred in graph.predicates_between(relations[:i], target):
+            sides = (pred.side_for(target), pred.other_side(target))
+            left, right = (
+                composite.value(ref.relation, graph.attr_position(ref))
+                for ref in sides
+            )
+            if left != right:
+                return False
+    return True
+
+
+def _memo_copy(memo):
+    copy = CountingMemo()
+    copy._by_target = {
+        target: dict(entries) for target, entries in memo._by_target.items()
+    }
+    copy.hits, copy.misses = memo.hits, memo.misses
+    return copy
+
+
+def _memo_state(memo):
+    return memo._by_target, memo.hits, memo.misses
+
+
+# The path under test, kept past the patches below that wrap it.
+GROUPED_APPLY = JoinOperator.apply
+
+
+def _assert_grouped_memo_equals_loop(operator, composites, memo, cost_model):
+    """The grouped path and the reference loop, each on a copy of
+    ``memo``, give equal outputs, charges and memo state, and the grouped
+    path reads the memo once per distinct ``plan.slots`` signature."""
+    grouped_ctx, loop_ctx = (
+        ExecContext(
+            clock=RecordingClock(), cost_model=cost_model,
+            probe_memo=_memo_copy(memo),
+        )
+        for _ in range(2)
+    )
+    grouped = GROUPED_APPLY(operator, composites, grouped_ctx)
+    expected = _memo_loop(operator, composites, loop_ctx)
+    assert grouped == expected
+    assert grouped_ctx.clock.charges == loop_ctx.clock.charges
+    assert repr(grouped_ctx.clock.now_us) == repr(loop_ctx.clock.now_us)
+    assert _memo_state(grouped_ctx.probe_memo) == _memo_state(
+        loop_ctx.probe_memo
+    )
+    slots = operator.probe_plan().slots
+    assert grouped_ctx.probe_memo.reads == len(
+        {composite.values_at(slots) for composite in composites}
+    )
+
+
+@pytest.mark.parametrize("name", sorted(JOIN_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grouped_memo_equals_per_composite_loop(name, data):
+    graph, operator = _operator(name)
+    factory = RowFactory()
+    for _ in range(data.draw(st.integers(0, 8))):
+        operator.relation.insert(
+            _rows_of(graph, operator.target, factory, data.draw)
+        )
+    # Composites an earlier update of the batch joined: some of the
+    # call's groups find their signature in the memo already.
+    memo = BatchProbeMemo()
+    earlier = _draw_composites(graph, operator, factory, data.draw, 0)
+    _memo_loop(operator, earlier, ExecContext(probe_memo=memo))
+    # Only composites that hold the composite invariant reach a join.
+    composites = [
+        composite
+        for composite in _draw_composites(graph, operator, factory, data.draw)
+        if _holds_invariant(graph, operator.prior, composite)
+    ]
+    assume(len(composites) >= 2)
+    _assert_grouped_memo_equals_loop(
+        operator, composites, memo, ExecContext().cost_model
+    )
+
+
+def test_memo_read_once_per_group_and_empty_sets_hit():
+    """A group whose signature an earlier update stored hits on its first
+    composite; an empty match set is memoized and hits like any other."""
+    graph = star_graph(3)
+    relation = Relation(graph.schemas["R3"], ("A",))
+    factory = RowFactory()
+    for value in (5, 5, 6):
+        relation.insert(factory.make((value,)))
+    operator = JoinOperator(graph, ("R1", "R2"), "R3").bind(relation)
+
+    def composite(value):
+        return CompositeTuple.of("R1", factory.make((value,))).extended(
+            "R2", factory.make((value,))
+        )
+
+    memo = BatchProbeMemo()
+    ctx = ExecContext(clock=RecordingClock(), probe_memo=memo)
+    operator.apply([composite(5)], ctx)
+    assert (memo.hits, memo.misses) == (0, 1)
+    composites = [composite(v) for v in (5, 7, 5, 7, 7)]
+    _assert_grouped_memo_equals_loop(
+        operator, composites, memo, ctx.cost_model
+    )
+    ctx.clock.charges.clear()
+    outputs = operator.apply(composites, ctx)
+    assert len(outputs) == 4
+    cm = ctx.cost_model
+    hit, probe, residual = (
+        cm.batch_memo_hit, cm.index_probe, cm.predicate_eval
+    )
+    assert ctx.clock.charges == [
+        hit, cm.per_match * 2,      # stored by the earlier update
+        probe, residual * 0, 0.0,   # 7: a miss with no rows
+        hit, cm.per_match * 2,
+        hit, 0.0,                   # the empty set is a hit
+        hit, 0.0,
+    ]
+    assert (memo.hits, memo.misses) == (4, 2)
+    assert memo.get("R3", operator.memo_signature(composite(7))) == []
+
+
+def _checked_memo_calls(monkeypatch):
+    """Patch ``JoinOperator.apply`` so that every micro-batch call is
+    first checked against the reference loop; returns the list of checked
+    calls' sizes."""
+    checked = []
+    apply = JoinOperator.apply
+
+    def checking(self, composites, ctx):
+        if ctx.probe_memo is not None:
+            _assert_grouped_memo_equals_loop(
+                self, composites, ctx.probe_memo, ctx.cost_model
+            )
+            checked.append(len(composites))
+        return apply(self, composites, ctx)
+
+    monkeypatch.setattr(JoinOperator, "apply", checking)
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_WORKLOADS))
+def test_live_memo_calls_equal_per_composite_loop(name, monkeypatch):
+    workload = MEMO_WORKLOADS[name]()
+    checked = _checked_memo_calls(monkeypatch)
+    session = Session.adaptive(
+        workload, EngineConfig(tuning=bench_tuning(), batch_size=16)
+    )
+    session.run(workload.updates(1_500))
+    monkeypatch.undo()
+    assert len(checked) > 1_000
+    # delete_storm's updates fan out too little for a call to carry two
+    # composites; Fig 9's star carries several per call.
+    assert name == "delete_storm" or sum(n > 1 for n in checked) > 100
+
+
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
+    ],
+)
+@given(
+    case=join_cases(min_arrivals=30, max_arrivals=60),
+    batch_size=st.integers(2, 16),
+)
+def test_memo_grouping_on_random_graphs(case, batch_size, monkeypatch):
+    graph, indexed, updates = case
+    _checked_memo_calls(monkeypatch)
+    engine = ACaching(
+        graph, indexed_attributes=indexed, config=_eager_tuning()
+    )
+    try:
+        for start in range(0, len(updates), batch_size):
+            engine.process_batch(DeltaBatch(updates[start:start + batch_size]))
+    finally:
+        monkeypatch.undo()
