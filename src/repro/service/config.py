@@ -38,8 +38,7 @@ class ServiceConfig:
     # stream identity), inter-query shared caches, one global memory
     # budget arbitrated across tenants. Queries become removable via
     # DELETE /v1/queries/{name}. Incompatible with wal_root (the shared
-    # engine has no per-query journal) and with per-engine resilience,
-    # micro-batching, or sharding.
+    # engine has no per-query journal) and with per-engine resilience.
     shared_engine: bool = False
     # Durability: per-query journals live under ``<wal_root>/<query>``.
     # None serves from memory only (a kill loses unacknowledged state,
@@ -90,16 +89,22 @@ class ServiceConfig:
                     "one tenant shedding an update would desynchronize the "
                     "shared windows"
                 )
-            if self.engine.batch_size != 1:
-                raise ConfigError(
-                    "shared_engine requires engine batch_size 1, got "
-                    f"{self.engine.batch_size}"
-                )
-            if self.engine.shards != 1:
-                raise ConfigError(
-                    "shared_engine requires engine shards 1, got "
-                    f"{self.engine.shards}"
-                )
+        # Both hosting modes step the engine one update at a time on one
+        # shard, and the service owns the journal under wal_root.
+        if self.engine.batch_size != 1:
+            raise ConfigError(
+                "service engines require batch_size 1, got "
+                f"{self.engine.batch_size}"
+            )
+        if self.engine.shards != 1:
+            raise ConfigError(
+                f"service engines require shards 1, got {self.engine.shards}"
+            )
+        if self.engine.wal_dir is not None:
+            raise ConfigError(
+                "service engines must not set wal_dir; the service owns "
+                "the per-query journal under wal_root"
+            )
         if self.checkpoint_interval < 1:
             raise ConfigError(
                 "service checkpoint_interval must be >= 1, got "

@@ -1,21 +1,27 @@
 """The streaming ingestion server: Session-facade engines on the wire.
 
-One :class:`StreamingService` hosts any number of continuous queries.
-Each :class:`QueryHost` owns:
+One :class:`StreamingService` hosts any number of continuous queries,
+each a :class:`QueryHost` that is a member of one ingest lane
+(:class:`_ServiceLane`). The lane owns:
 
-* an adaptive engine built through the :mod:`repro.api` facade (with a
-  resilience controller — the load shedder is the gate *behind*
-  admission control),
+* the engine: one adaptive plan built through the :mod:`repro.api`
+  facade (isolated hosting, one lane per query, with a resilience
+  controller — the load shedder is the gate *behind* admission
+  control), or one :class:`~repro.multi.engine.MultiQueryEngine`
+  holding every member (shared hosting, ``shared_engine``),
 * the service-side window operators that turn client arrivals into the
   engine's globally ordered update stream,
-* a per-query WAL, delta journal, and checkpoint store, so a killed
-  server resumes via :class:`~repro.recovery.manager.RecoveryManager`
-  without losing one acknowledged update or one logged delta,
-* the bounded ingress queue, admission controller, and degradation
-  ladder defending the ingest path, and
-* the result-delta log + WebSocket subscribers.
+* the bounded ingress queue, the degradation ladder, and the worker
+  that publishes each member's deltas, and
+* with ``wal_root`` (isolated only), the query's WAL, delta journal,
+  and checkpoint store, so a killed server resumes via
+  :class:`~repro.recovery.manager.RecoveryManager` without losing one
+  acknowledged update or one logged delta.
 
-Threading model — three lanes, each single-threaded:
+Each member owns its per-tenant admission controller, result-delta log,
+acknowledged seq, and WebSocket subscribers.
+
+Threading model — three threads, each owning one kind of work:
 
 * the **event loop** owns all service state (windows, seq counters,
   queues, delta logs, subscribers); handlers never await inside an
@@ -42,13 +48,16 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.api import EngineConfig, build_adaptive_engine
+from repro.api import build_adaptive_engine
 from repro.errors import ConfigError, ServiceError
 from repro.faults.resilience import ResilienceConfig
-from repro.obs.decisions import CHECKPOINT, DRAIN
-from repro.obs.export import registry_to_prometheus
+from repro.obs.decisions import CHECKPOINT, DRAIN, DecisionLog
+from repro.obs.export import (
+    registries_to_prometheus,
+    registry_to_prometheus,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.recovery.framing import encode_json
 from repro.recovery.journal import DeltaJournal
@@ -63,7 +72,12 @@ from repro.service.backpressure import (
     TIER_PAUSE_SUBSCRIPTIONS,
 )
 from repro.service.config import ServiceConfig
-from repro.service.deltas import DeltaFrame, DeltaLog, log_entries
+from repro.service.deltas import (
+    DeltaFrame,
+    DeltaLog,
+    jsonable_delta,
+    log_entries,
+)
 from repro.service.http import (
     BadRequest,
     HttpRequest,
@@ -86,6 +100,9 @@ from repro.streams.workloads import (
     table2_workload,
     three_way_chain,
 )
+
+if TYPE_CHECKING:
+    from repro.multi.engine import MultiQueryEngine
 
 __all__ = ["QueryHost", "ServiceThread", "StreamingService", "workload_factory"]
 
@@ -184,8 +201,11 @@ class _ServiceWindows:
         self.next_rid = 0
         self.last_fed_seq = -1
 
-    def relations(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.sizes))
+    def add_relation(self, relation: str, size: int) -> None:
+        """Open an empty window for ``relation`` unless one is hosted."""
+        if relation not in self.sizes:
+            self.sizes[relation] = size
+            self._windows[relation] = deque()
 
     def feed(self, relation: str, values: tuple, seq_start: int) -> List[Update]:
         window = self._windows[relation]
@@ -273,70 +293,56 @@ class _IngestBatch:
         self.enqueued_at = enqueued_at
 
 
-class QueryHost:
-    """One hosted continuous query: engine + windows + journal + queue."""
+class _ServiceLane:
+    """One ingest lane serving N >= 1 hosted queries.
+
+    The lane owns what its members share: the service windows, the seq
+    counters, the bounded ingress queue, the degradation ladder, the
+    worker task and its engine-executor job, the publish fan-out, tier
+    transitions, and drain/kill. With ``wal_root`` it also owns the WAL,
+    the delta journal, checkpoints and restore; a durable lane always
+    has exactly one member, because ``ServiceConfig`` refuses
+    ``shared_engine`` together with ``wal_root``.
+
+    Isolated hosting is one lane per query over one adaptive plan
+    (``multi is None``, ``label`` is the query's name); shared hosting is
+    one lane over a :class:`~repro.multi.engine.MultiQueryEngine` holding
+    every member (``label`` is ``_shared``). Only the engine step
+    differs; both shapes publish per member through the same code.
+    """
 
     def __init__(
         self,
-        name: str,
-        spec: dict,
         config: ServiceConfig,
         loop: asyncio.AbstractEventLoop,
         wal_exec: ThreadPoolExecutor,
         engine_exec: ThreadPoolExecutor,
         registry: MetricsRegistry,
+        label: str,
+        multi: Optional[MultiQueryEngine] = None,
     ):
-        self.name = name
-        self.spec = dict(spec)
         self.config = config
+        self.label = label
+        self.multi = multi
         self._loop = loop
         self._wal_exec = wal_exec
         self._engine_exec = engine_exec
         self.registry = registry
-        self._factory = workload_factory(spec.get("workload", {}))
-        self._workload = self._factory()
-        engine_cfg = config.engine
-        if engine_cfg.resilience is None:
-            # The service always runs the engine-side shedder: admission
-            # is the first gate, the shedder the second.
-            engine_cfg = replace(engine_cfg, resilience=ResilienceConfig())
-        if engine_cfg.wal_dir is not None:
-            raise ConfigError(
-                "service engines must not set wal_dir; the service owns "
-                "the per-query journal under wal_root"
-            )
-        self.engine_config: EngineConfig = engine_cfg
-
-        self.schemas = {
-            name: list(schema.attributes)
-            for name, schema in self._workload.graph.schemas.items()
-        }
-        self.windows = _ServiceWindows(self._workload.windows)
+        self.plan = None            # the adaptive plan of an isolated lane
+        self._workload = None
+        self.members: Dict[str, QueryHost] = {}
+        self.windows = _ServiceWindows({})
         self.next_seq = 0
         self.processed_seq = -1    # engine has applied updates <= this
-        self.acked_seq = -1        # clients hold 202s for updates <= this
-        self.delta_log = DeltaLog()
-        self.delta_trimmed = 0
-        self.deltas_shed = 0
         self.engine_errors = 0
         self.checkpoints = 0
         self.resumed = False
         self.replayed_updates = 0
         self.draining = False
-
         self.queue = IngressQueue(config.queue_capacity_updates)
-        self.admission = AdmissionController(
-            config.tenant_rate,
-            config.tenant_burst,
-            degraded_rate_factor=config.degraded_rate_factor,
-        )
-        self.subscribers: List[_Subscriber] = []
         self._since_checkpoint = 0
         # Instruments bound once; the per-batch path only bumps them.
-        labels = {"query": name}
-        self._ingest_counter = registry.counter(
-            "repro_service_ingest_updates_total", labels
-        )
+        labels = {"query": label}
         self._engine_error_counter = registry.counter(
             "repro_service_engine_errors_total", labels
         )
@@ -349,70 +355,123 @@ class QueryHost:
         self.journal: Optional[DeltaJournal] = None
         self.store: Optional[CheckpointStore] = None
         self.recovery_config: Optional[RecoveryConfig] = None
-        if config.wal_root is not None:
-            self._open_durable(os.path.join(config.wal_root, name))
-        else:
-            self.plan = self._construct_engine()
-
-        self.tiers = DegradationController(
-            config, decision_log=self.plan.ctx.obs.decisions
-        )
-        self._last_tier = self.tiers.tier
+        self._journaled: Optional[QueryHost] = None
+        # Tier changes and drain/checkpoint decisions go to the plan's
+        # decision log on an isolated lane (opened with the plan).
+        self.decisions: Optional[DecisionLog] = None
+        self.tiers: Optional[DegradationController] = None
+        if multi is not None:
+            self._open_tiers(DecisionLog())
         self.worker: Optional[asyncio.Task] = None
 
+    def _open_tiers(self, decisions: DecisionLog) -> None:
+        self.decisions = decisions
+        self.tiers = DegradationController(self.config, decision_log=decisions)
+        self._last_tier = self.tiers.tier
+
+    def start(self) -> None:
+        """Start the worker task (once; needs the running loop)."""
+        if self.worker is None:
+            self.worker = self._loop.create_task(self.run_worker())
+
     # ------------------------------------------------------------------
-    # construction / recovery
+    # membership / construction / recovery
     # ------------------------------------------------------------------
+    def add(self, member: "QueryHost", workload) -> object:
+        """Host ``member``'s query on this lane; returns its engine."""
+        for relation, size in workload.windows.items():
+            hosted = self.windows.sizes.get(relation)
+            if hosted is not None and hosted != size:
+                raise ConfigError(
+                    f"relation {relation!r} is hosted with window {hosted}; "
+                    f"query {member.name!r} expects {size} — shared streams "
+                    "must agree on window sizes"
+                )
+        if self.multi is not None:
+            # Splices into the shared engine warm; the lane's windows
+            # grow only after the engine accepted the query.
+            engine = self.multi.register(
+                member.name, workload, self.config.engine
+            )
+        for relation, size in workload.windows.items():
+            self.windows.add_relation(relation, size)
+        if self.multi is None:
+            self._workload = workload
+            if self.config.wal_root is not None:
+                self._open_durable(member)
+            else:
+                self.plan = self._construct_engine()
+            self._open_tiers(self.plan.ctx.obs.decisions)
+            engine = self.plan
+        self.members[member.name] = member
+        return engine
+
+    def remove(self, name: str) -> None:
+        """Remove a member of a shared lane at an update boundary; the
+        shared windows stay warm and only unreferenced cache bytes are
+        released."""
+        member = self.members.pop(name)
+        self.multi.unregister(name)
+        member.close_subscribers("unregistered")
+
     def _construct_engine(self):
         from repro import obs as obs_mod
 
+        engine_cfg = self.config.engine
+        if engine_cfg.resilience is None:
+            # The service always runs the engine-side shedder: admission
+            # is the first gate, the shedder the second.
+            engine_cfg = replace(engine_cfg, resilience=ResilienceConfig())
         handle = obs_mod.Observability.tracing(
             profile=True, sample_every=TELEMETRY_SAMPLE_EVERY
         )
         with obs_mod.session(handle):
-            return build_adaptive_engine(self._workload, self.engine_config)
+            return build_adaptive_engine(self._workload, engine_cfg)
 
-    def _open_durable(self, wal_dir: str) -> None:
+    def _open_durable(self, member: "QueryHost") -> None:
+        wal_dir = os.path.join(self.config.wal_root, member.name)
         os.makedirs(wal_dir, exist_ok=True)
         spec_path = os.path.join(wal_dir, QUERY_SPEC_FILE)
         if not os.path.exists(spec_path):
             with open(spec_path, "w", encoding="utf-8") as handle:
-                json.dump(self.spec, handle, sort_keys=True)
+                json.dump(member.spec, handle, sort_keys=True)
+        engine_cfg = self.config.engine
         self.recovery_config = RecoveryConfig(
             wal_dir=wal_dir,
             checkpoint_interval=self.config.checkpoint_interval,
-            fsync_every=self.engine_config.wal_fsync_every,
-            cache_mode=self.engine_config.cache_recovery,
+            fsync_every=engine_cfg.wal_fsync_every,
+            cache_mode=engine_cfg.cache_recovery,
         )
         rcfg = self.recovery_config
+        self._journaled = member
         self.journal = DeltaJournal(wal_dir)
         had_state = os.path.exists(rcfg.wal_path) or (
             os.path.isdir(rcfg.checkpoint_dir)
             and os.listdir(rcfg.checkpoint_dir)
         )
         if had_state:
-            self._restore(rcfg)
+            self._restore(rcfg, member)
         else:
             self.plan = self._construct_engine()
         # Append from here on; pre-existing bytes survived a crash or a
         # clean close, which both prove they are durable.
         self.wal = WriteAheadLog(
-            rcfg.wal_path, fsync_every=self.engine_config.wal_fsync_every
+            rcfg.wal_path, fsync_every=engine_cfg.wal_fsync_every
         )
         self.store = CheckpointStore(rcfg.checkpoint_dir)
 
-    def _restore(self, rcfg: RecoveryConfig) -> None:
+    def _restore(self, rcfg: RecoveryConfig, member: "QueryHost") -> None:
         restored = RecoveryManager(rcfg, builder=self._construct_engine).restore()
         self.plan = restored.plan
         state = (restored.runner_state or {}).get("service")
         if state is not None:
             self.windows.load(state["windows"])
-            self.delta_trimmed = state["delta_trimmed"]
+            member.delta_trimmed = state["delta_trimmed"]
             self.next_seq = state["next_seq"]
         # The delta log through the checkpoint comes from the journal
         # (which drops whatever it holds past that seq); the rest is
         # regenerated by the replay below and journaled again.
-        self.delta_log = DeltaLog(self.journal.load(
+        member.delta_log = DeltaLog(self.journal.load(
             restored.checkpoint_seq, self.config.delta_log_capacity
         ))
         # Re-apply the WAL suffix's window mutations. Engine replay was
@@ -426,19 +485,24 @@ class QueryHost:
             if update.seq > fed:
                 self.windows.apply(update)
         replayed = log_entries(restored.replayed)
-        self.delta_log.extend(replayed)
+        member.delta_log.extend(replayed)
         self.journal.append(replayed)
-        self._trim_delta_log()
+        member.trim_delta_log()
         self.next_seq = max(self.next_seq, restored.last_seq + 1)
         self.processed_seq = restored.last_seq
-        self.acked_seq = restored.last_seq
+        member.acked_seq = restored.last_seq
         self.resumed = True
         self.replayed_updates = len(restored.replayed)
 
     # ------------------------------------------------------------------
     # ingest (loop thread; the whole method is one atomic section)
     # ------------------------------------------------------------------
-    def try_ingest(self, tenant: str, arrivals: List[Tuple[str, tuple]]):
+    def try_ingest(
+        self,
+        member: "QueryHost",
+        tenant: str,
+        arrivals: List[Tuple[str, tuple]],
+    ):
         """Admission → tier → reservation → windows → WAL → queue.
 
         Returns ``("accepted", updates, wal_future)`` or
@@ -447,19 +511,21 @@ class QueryHost:
         while the 429 can still be issued, so an accepted batch can
         never find the queue full — the deterministic
         429-before-overflow property the integration test pins down.
+        Admission is per tenant *per member query*; the queue and the
+        tiers are the lane's.
         """
         if self.draining:
             return ("rejected", 503, self.config.drain_deadline_s, "draining")
         if self.tiers.rejecting_ingest:
-            self._reject_metric("overloaded")
+            self._reject_metric(member, "overloaded")
             return ("rejected", 503, self._retry_after(), "overloaded")
-        retry_after = self.admission.admit(tenant, len(arrivals))
+        retry_after = member.admission.admit(tenant, len(arrivals))
         if retry_after > 0.0:
-            self._reject_metric("admission")
+            self._reject_metric(member, "admission")
             return ("rejected", 429, retry_after, "admission")
         worst_case = 2 * len(arrivals)
         if not self.queue.reserve(worst_case):
-            self._reject_metric("queue_full")
+            self._reject_metric(member, "queue_full")
             return ("rejected", 429, self._retry_after(), "queue_full")
         updates: List[Update] = []
         for relation, values in arrivals:
@@ -475,13 +541,13 @@ class QueryHost:
             )
         self.queue.put(_IngestBatch(updates, time.monotonic()))
         self._evaluate_tiers()
-        self._ingest_counter.inc(len(updates))
+        member._ingest_counter.inc(len(updates))
         return ("accepted", updates, wal_future)
 
-    def _reject_metric(self, reason: str) -> None:
+    def _reject_metric(self, member: "QueryHost", reason: str) -> None:
         self.registry.counter(
             "repro_service_rejected_total",
-            {"query": self.name, "reason": reason},
+            {"query": member.name, "reason": reason},
         ).inc()
 
     def _retry_after(self) -> float:
@@ -497,14 +563,14 @@ class QueryHost:
         return self.wal.durable_offset
 
     # ------------------------------------------------------------------
-    # the worker (one asyncio task per host)
+    # the worker (one asyncio task per lane)
     # ------------------------------------------------------------------
     async def run_worker(self) -> None:
         while True:
             batch = await self.queue.get()
             if batch is _DRAIN_SENTINEL:
                 break
-            per_update: Optional[List[list]]
+            per_update: Optional[List[Dict[str, list]]]
             try:
                 per_update = await self._loop.run_in_executor(
                     self._engine_exec, self._process_job, batch.updates
@@ -519,10 +585,11 @@ class QueryHost:
                 self._publish(batch, per_update)
             self.processed_seq = batch.updates[-1].seq
             self.queue.release(len(batch.updates))
-            resilience = getattr(self.plan, "resilience", None)
-            self.admission.note_engine_degraded(
-                bool(resilience is not None and resilience.degraded)
-            )
+            for member in self.members.values():
+                resilience = getattr(member.plan, "resilience", None)
+                member.admission.note_engine_degraded(
+                    bool(resilience is not None and resilience.degraded)
+                )
             self._evaluate_tiers()
             self._delta_latency.observe(time.monotonic() - batch.enqueued_at)
             self._since_checkpoint += len(batch.updates)
@@ -532,45 +599,44 @@ class QueryHost:
             ):
                 await self.checkpoint()
 
-    def _process_job(self, updates: List[Update]) -> List[list]:
-        """Engine-executor job: per-update processing under a span."""
-        plan = self.plan
+    def _process_job(self, updates: List[Update]) -> List[Dict[str, list]]:
+        """Engine-executor job: one ``{query: output deltas}`` map per
+        update — the only step that differs between the two shapes."""
+        if self.multi is not None:
+            # Each update through every interested member; the shared
+            # window is mutated once (MultiQueryEngine.process).
+            return [self.multi.process(update) for update in updates]
+        plan, name = self.plan, self.label
         profiler = plan.ctx.obs.profiler
         if profiler.enabled:
             with profiler.span("service:batch", clock=plan.ctx.clock):
-                return [plan.process(update) for update in updates]
-        return [plan.process(update) for update in updates]
+                return [{name: plan.process(update)} for update in updates]
+        return [{name: plan.process(update)} for update in updates]
 
-    def _publish(self, batch: _IngestBatch, per_update: List[list]) -> None:
-        entries = log_entries(
-            (update.seq, deltas)
-            for update, deltas in zip(batch.updates, per_update)
-        )
-        self.delta_log.extend(entries)
-        self._trim_delta_log()
-        if self.journal is not None:
-            # Nobody waits on the append: the checkpoint that must cover
-            # it queues behind it on the same executor and fsyncs.
-            self._wal_exec.submit(self.journal.append, entries)
-        emitted = [entry for entry in entries if entry["deltas"]]
-        if self.tiers.shedding_deltas or self.tiers.subscriptions_paused:
-            # Degraded: drop the fan-out, leave a gap notice for each
-            # subscriber. The delta log keeps everything — clients can
-            # re-fetch via GET /results once the tier recovers.
-            self.deltas_shed += sum(len(e["deltas"]) for e in emitted)
-            for subscriber in self.subscribers:
-                subscriber.gap = True
-            return
-        if not emitted or not self.subscribers:
-            return
-        frame = DeltaFrame(self.name, batch.updates[-1].seq, emitted)
-        for subscriber in self.subscribers:
-            subscriber.offer(frame)
-
-    def _trim_delta_log(self) -> None:
-        self.delta_trimmed += self.delta_log.trim(
-            self.config.delta_log_capacity
-        )
+    def _publish(
+        self, batch: _IngestBatch, per_update: List[Dict[str, list]]
+    ) -> None:
+        entries_of: Dict[str, List[dict]] = {}
+        for update, outputs in zip(batch.updates, per_update):
+            for query_id, deltas in outputs.items():
+                entries_of.setdefault(query_id, []).append({
+                    "seq": update.seq,
+                    "deltas": [jsonable_delta(d) for d in deltas],
+                })
+        shedding = self.tiers.shedding_deltas or self.tiers.subscriptions_paused
+        seq_last = batch.updates[-1].seq
+        for query_id, entries in entries_of.items():
+            member = self.members.get(query_id)
+            if member is None:      # unregistered while the batch ran
+                continue
+            member.delta_log.extend(entries)
+            member.trim_delta_log()
+            if self.journal is not None:
+                # Nobody waits on the append: the checkpoint that must
+                # cover it queues behind it on the same executor and
+                # fsyncs.
+                self._wal_exec.submit(self.journal.append, entries)
+            member.offer(entries, seq_last, shedding)
 
     def _evaluate_tiers(self) -> None:
         tier = self.tiers.update(
@@ -586,24 +652,29 @@ class QueryHost:
         )
         self._last_tier = tier
         if crossed_up or crossed_down:
-            frame = {
-                "type": "flow",
-                "query": self.name,
-                "state": "pause" if crossed_up else "resume",
-                "tier": TIER_NAMES[tier],
-            }
-            for subscriber in self.subscribers:
-                subscriber.control(frame)
+            for member in self.members.values():
+                frame = {
+                    "type": "flow",
+                    "query": member.name,
+                    "state": "pause" if crossed_up else "resume",
+                    "tier": TIER_NAMES[tier],
+                }
+                for subscriber in member.subscribers:
+                    subscriber.control(frame)
 
     # ------------------------------------------------------------------
     # checkpoint / drain
     # ------------------------------------------------------------------
+    def _record(self, action: str, reason: str) -> None:
+        clock = self.plan.ctx.clock.now_us if self.plan is not None else 0.0
+        self.decisions.record(clock, action, "service", reason=reason)
+
     def _service_state(self) -> dict:
         return {
             "service": {
                 "windows": self.windows.state(),
                 "next_seq": self.next_seq,
-                "delta_trimmed": self.delta_trimmed,
+                "delta_trimmed": self._journaled.delta_trimmed,
             }
         }
 
@@ -631,27 +702,21 @@ class QueryHost:
         path = self.store.write(last_seq, payload)
         self.store.prune(self.recovery_config.keep_checkpoints)
         self.checkpoints += 1
-        ctx = self.plan.ctx
-        ctx.obs.decisions.record(
-            ctx.clock.now_us,
-            CHECKPOINT,
-            "service",
-            reason=f"query={self.name} seq={last_seq}",
-        )
+        self._record(CHECKPOINT, f"query={self.label} seq={last_seq}")
         return path
 
     async def drain(self, deadline_s: float) -> bool:
         """Stop ingest, let the queue empty, checkpoint, close the WAL.
 
         Returns True when the queue fully drained within the deadline.
+        Idempotent: a drained (or killed) lane only reports its queue.
         """
+        if self.draining:
+            return self.queue.depth_updates == 0
         self.draining = True
-        ctx = self.plan.ctx
-        ctx.obs.decisions.record(
-            ctx.clock.now_us,
+        self._record(
             DRAIN,
-            "service",
-            reason=f"query={self.name} begin depth={self.queue.depth_updates}",
+            f"query={self.label} begin depth={self.queue.depth_updates}",
         )
         deadline = time.monotonic() + deadline_s
         while self.queue.depth_updates > 0 and time.monotonic() < deadline:
@@ -675,16 +740,12 @@ class QueryHost:
             await self._loop.run_in_executor(
                 self._wal_exec, self._close_files
             )
-        ctx.obs.decisions.record(
-            ctx.clock.now_us,
+        self._record(
             DRAIN,
-            "service",
-            reason=f"query={self.name} done drained={'yes' if drained else 'no'}",
+            f"query={self.label} done drained={'yes' if drained else 'no'}",
         )
-        close_frame = {"type": "close", "query": self.name, "reason": "drain"}
-        for subscriber in self.subscribers:
-            subscriber.control(close_frame)
-            subscriber.offer(_CLOSE_FRAME)  # type: ignore[arg-type]
+        for member in self.members.values():
+            member.close_subscribers("drain")
         return drained
 
     def _close_files(self) -> None:
@@ -702,33 +763,116 @@ class QueryHost:
             # journal (replay regenerates it); just release the file.
             self.journal.close()
 
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
+
+class QueryHost:
+    """One hosted continuous query: a member of one :class:`_ServiceLane`.
+
+    The member owns what is per query: its name, spec, schemas and
+    relations, per-tenant admission, the result-delta log, ``acked_seq``,
+    the WebSocket subscribers, and :meth:`status`. Built without a
+    ``lane`` it opens its own isolated lane over one adaptive plan; a
+    shared-engine service passes its one shared lane.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        spec: dict,
+        config: ServiceConfig,
+        loop: asyncio.AbstractEventLoop,
+        wal_exec: ThreadPoolExecutor,
+        engine_exec: ThreadPoolExecutor,
+        registry: MetricsRegistry,
+        lane: Optional[_ServiceLane] = None,
+    ):
+        self.name = name
+        self.spec = dict(spec)
+        self.config = config
+        workload = workload_factory(self.spec.get("workload", {}))()
+        self.schemas = {
+            rel: list(schema.attributes)
+            for rel, schema in workload.graph.schemas.items()
+        }
+        self.relations = tuple(sorted(workload.windows))
+        self.acked_seq = -1        # clients hold 202s for updates <= this
+        self.delta_log = DeltaLog()
+        self.delta_trimmed = 0
+        self.deltas_shed = 0
+        self.admission = AdmissionController(
+            config.tenant_rate,
+            config.tenant_burst,
+            degraded_rate_factor=config.degraded_rate_factor,
+        )
+        self.subscribers: List[_Subscriber] = []
+        if lane is None:
+            lane = _ServiceLane(
+                config, loop, wal_exec, engine_exec, registry, label=name
+            )
+        self.lane = lane
+        self.queue = lane.queue
+        self.windows = lane.windows
+        self.plan = lane.add(self, workload)
+        self._ingest_counter = registry.counter(
+            "repro_service_ingest_updates_total", {"query": name}
+        )
+
+    def trim_delta_log(self) -> None:
+        self.delta_trimmed += self.delta_log.trim(
+            self.config.delta_log_capacity
+        )
+
+    def offer(self, entries: List[dict], seq_last: int, shedding: bool) -> None:
+        """Fan one batch's log entries out to the subscribers."""
+        emitted = [entry for entry in entries if entry["deltas"]]
+        if shedding:
+            # Degraded: drop the fan-out, leave a gap notice for each
+            # subscriber. The delta log keeps everything — clients can
+            # re-fetch via GET /results once the tier recovers.
+            self.deltas_shed += sum(len(e["deltas"]) for e in emitted)
+            for subscriber in self.subscribers:
+                subscriber.gap = True
+            return
+        if not emitted or not self.subscribers:
+            return
+        frame = DeltaFrame(self.name, seq_last, emitted)
+        for subscriber in self.subscribers:
+            subscriber.offer(frame)
+
+    def close_subscribers(self, reason: str) -> None:
+        close_frame = {"type": "close", "query": self.name, "reason": reason}
+        for subscriber in self.subscribers:
+            subscriber.control(close_frame)
+            subscriber.offer(_CLOSE_FRAME)  # type: ignore[arg-type]
+
     def results_since(self, since_seq: int, limit: int) -> List[dict]:
         return self.delta_log.since(since_seq, limit)
 
     def status(self) -> dict:
+        lane = self.lane
         resilience = getattr(self.plan, "resilience", None)
-        return {
+        status = {
             "query": self.name,
             "workload": self.spec.get("workload", {}),
-            "relations": list(self.windows.relations()),
+            "relations": list(self.relations),
             "schema": self.schemas,
-            "tier": TIER_NAMES[self.tiers.tier],
-            "queue_depth_updates": self.queue.depth_updates,
-            "queue_capacity_updates": self.queue.capacity,
-            "oldest_lag_s": round(self.queue.oldest_lag_s(), 6),
-            "next_seq": self.next_seq,
-            "processed_seq": self.processed_seq,
+        }
+        if lane.multi is not None:
+            status["shared_engine"] = True
+        status.update({
+            "tier": TIER_NAMES[lane.tiers.tier],
+            "queue_depth_updates": lane.queue.depth_updates,
+            "queue_capacity_updates": lane.queue.capacity,
+            "oldest_lag_s": round(lane.queue.oldest_lag_s(), 6),
+            "next_seq": lane.next_seq,
+            "processed_seq": lane.processed_seq,
             "acked_seq": self.acked_seq,
             "delta_log_entries": len(self.delta_log),
             "delta_trimmed": self.delta_trimmed,
             "deltas_shed": self.deltas_shed,
-            "engine_errors": self.engine_errors,
-            "checkpoints": self.checkpoints,
-            "resumed": self.resumed,
-            "replayed_updates": self.replayed_updates,
+            "engine_errors": lane.engine_errors,
+            "checkpoints": lane.checkpoints,
+            "resumed": lane.resumed,
+            "replayed_updates": lane.replayed_updates,
             "subscribers": len(self.subscribers),
             "admission": self.admission.summary(),
             "shedding": (
@@ -736,7 +880,10 @@ class QueryHost:
             ),
             "updates_processed": self.plan.ctx.metrics.updates_processed,
             "outputs_emitted": self.plan.ctx.metrics.outputs_emitted,
-        }
+        })
+        if lane.multi is not None:
+            status["engine"] = lane.multi.snapshot()
+        return status
 
 
 class StreamingService:
@@ -745,10 +892,9 @@ class StreamingService:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.hosts: Dict[str, QueryHost] = {}
-        # Shared hosting (config.shared_engine): one SharedQueryGroup
-        # owns the MultiQueryEngine and every entry in ``hosts`` is a
-        # SharedQueryMember duck-typing the QueryHost surface.
-        self.group = None
+        # Shared hosting (config.shared_engine): the one lane every host
+        # joins. None when each query gets an isolated lane of its own.
+        self._shared_lane: Optional[_ServiceLane] = None
         self.registry = MetricsRegistry()
         # Bound once: every connection bumps one of these.
         self._request_counters: Dict[int, object] = {}
@@ -782,21 +928,21 @@ class StreamingService:
             max_workers=1, thread_name_prefix="svc-engine"
         )
         if self.config.shared_engine:
-            # Imported here: shared.py borrows this module's wire types
-            # (_ServiceWindows, _IngestBatch, frames), so a top-level
-            # import would be circular.
-            from repro.service.shared import SharedQueryGroup
+            # Imported here: isolated hosting never builds one, and
+            # `repro serve` start-up pays for every module it imports.
+            from repro.multi.engine import MultiQueryEngine
 
-            self.group = SharedQueryGroup(
-                self.config, self._loop, self._engine_exec, self.registry,
-                windows_cls=_ServiceWindows,
-                batch_cls=_IngestBatch,
-                drain_sentinel=_DRAIN_SENTINEL,
-                close_frame=_CLOSE_FRAME,
-                seconds_buckets=SECONDS_BUCKETS,
-            )
-            self.group.worker = asyncio.get_running_loop().create_task(
-                self.group.run_worker()
+            engine_cfg = self.config.engine
+            self._shared_lane = _ServiceLane(
+                self.config, self._loop, self._wal_exec, self._engine_exec,
+                self.registry, label="_shared",
+                multi=MultiQueryEngine(
+                    budget_bytes=(
+                        engine_cfg.acaching_config()
+                        .reoptimizer.memory_budget_bytes
+                    ),
+                    share_caches=engine_cfg.share_caches,
+                ),
             )
         if self.config.wal_root is not None:
             os.makedirs(self.config.wal_root, exist_ok=True)
@@ -822,32 +968,28 @@ class StreamingService:
         return self
 
     def _add_host(self, name: str, spec: dict) -> QueryHost:
-        if self.group is not None:
-            member = self.group.register(
-                name, spec, workload_factory(spec["workload"])
-            )
-            self.hosts[name] = member
-            return member
         host = QueryHost(
             name, spec, self.config, self._loop,
             self._wal_exec, self._engine_exec, self.registry,
+            lane=self._shared_lane,
         )
-        host.worker = self._loop.create_task(host.run_worker())
+        host.lane.start()
         self.hosts[name] = host
         return host
 
+    def _lanes(self) -> List[_ServiceLane]:
+        """Every lane with a member, each once, in registration order."""
+        return list(dict.fromkeys(host.lane for host in self.hosts.values()))
+
     async def drain(self) -> Dict[str, bool]:
         """Graceful shutdown tier by tier: reject ingest, empty queues,
-        checkpoint, close journals. Idempotent."""
+        checkpoint, close journals. Idempotent. Every member of a lane
+        reports that lane's drain."""
         self.draining = True
-        if self.group is not None:
-            # One shared queue, one drain; every member reports it.
-            drained = await self.group.drain(self.config.drain_deadline_s)
-            return {name: drained for name in self.hosts}
-        results = {}
-        for name, host in self.hosts.items():
-            results[name] = await host.drain(self.config.drain_deadline_s)
-        return results
+        drained = {}
+        for lane in self._lanes():
+            drained[lane] = await lane.drain(self.config.drain_deadline_s)
+        return {name: drained[host.lane] for name, host in self.hosts.items()}
 
     async def aclose(self) -> None:
         if self._server is not None:
@@ -864,10 +1006,8 @@ class StreamingService:
         self.started = False
         if self._server is not None:
             self._server.close()
-        if self.group is not None:
-            self.group.kill()
-        for host in self.hosts.values():
-            host.kill()
+        for lane in self._lanes():
+            lane.kill()
         for executor in (self._wal_exec, self._engine_exec):
             if executor is not None:
                 executor.shutdown(wait=False, cancel_futures=True)
@@ -876,7 +1016,9 @@ class StreamingService:
     def ready(self) -> bool:
         if not self.started or self.draining:
             return False
-        return not any(h.tiers.rejecting_ingest for h in self.hosts.values())
+        return not any(
+            lane.tiers.rejecting_ingest for lane in self._lanes()
+        )
 
     # ------------------------------------------------------------------
     # connection handling
@@ -1035,12 +1177,12 @@ class StreamingService:
 
     def _unregister(self, name: str) -> Tuple[bytes, int]:
         """Remove a query from the shared engine at an update boundary."""
-        if self.group is None:
+        if self._shared_lane is None:
             return json_response(
                 400,
                 {"error": "unregister requires a shared_engine service"},
             ), 400
-        self.group.unregister(name)
+        self._shared_lane.remove(name)
         del self.hosts[name]
         for key in [k for k in self._idem_done if k[0] == name]:
             del self._idem_done[key]
@@ -1075,7 +1217,7 @@ class StreamingService:
                 },
             ), 413
         arrivals: List[Tuple[str, tuple]] = []
-        relations = set(host.windows.sizes)
+        relations = set(host.relations)
         for item in raw:
             if (
                 not isinstance(item, list) or len(item) != 2
@@ -1122,7 +1264,7 @@ class StreamingService:
                     status, dict(payload, replayed=True)
                 ), status
 
-        outcome = host.try_ingest(tenant, arrivals)
+        outcome = host.lane.try_ingest(host, tenant, arrivals)
         if outcome[0] == "rejected":
             _, status, retry_after, reason = outcome
             return json_response(
@@ -1176,7 +1318,7 @@ class StreamingService:
             {
                 "query": host.name,
                 "entries": entries,
-                "processed_seq": host.processed_seq,
+                "processed_seq": host.lane.processed_seq,
                 "trimmed_through": host.delta_log.trimmed_through,
             },
         ), 200
@@ -1323,18 +1465,19 @@ class StreamingService:
     # ------------------------------------------------------------------
     def _metrics_text(self) -> str:
         for name, host in self.hosts.items():
+            lane = host.lane
             labels = {"query": name}
             reg = self.registry
             reg.gauge("repro_service_queue_depth_updates", labels).set(
-                host.queue.depth_updates
+                lane.queue.depth_updates
             )
             reg.gauge("repro_service_queue_lag_seconds", labels).set(
-                host.queue.oldest_lag_s()
+                lane.queue.oldest_lag_s()
             )
-            reg.gauge("repro_service_tier", labels).set(host.tiers.tier)
+            reg.gauge("repro_service_tier", labels).set(lane.tiers.tier)
             reg.gauge("repro_service_acked_seq", labels).set(host.acked_seq)
             reg.gauge("repro_service_processed_seq", labels).set(
-                host.processed_seq
+                lane.processed_seq
             )
             reg.gauge("repro_service_subscribers", labels).set(
                 len(host.subscribers)
@@ -1356,12 +1499,15 @@ class StreamingService:
                 )
         self.registry.gauge("repro_service_ready").set(1 if self.ready else 0)
         self.registry.gauge("repro_service_queries").set(len(self.hosts))
-        text = registry_to_prometheus(self.registry)
-        if self.group is not None:
-            # The shared engine's own families (repro_*, query_id-
-            # labeled) are disjoint from the service's repro_service_*.
-            text += self.group.engine_metrics_text()
-        return text
+        # Each hosted engine's own families (repro_*, query_id-labeled)
+        # are disjoint from the service's repro_service_*.
+        engines = registries_to_prometheus(
+            {name: host.plan.ctx.obs.registry
+             for name, host in self.hosts.items()},
+            metrics_of={name: host.plan.ctx.metrics
+                        for name, host in self.hosts.items()},
+        )
+        return registry_to_prometheus(self.registry) + engines
 
 
 class ServiceThread:

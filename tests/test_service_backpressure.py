@@ -9,6 +9,7 @@ import asyncio
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.errors import ConfigError
 from repro.obs.decisions import DecisionLog, TIER_CHANGE
 from repro.service.admission import AdmissionController, TokenBucket
@@ -201,6 +202,10 @@ def test_ladder_records_tier_change_decisions():
             dict(shed_depth_fraction=0.9, pause_depth_fraction=0.5),
             "depth fractions must be non-decreasing",
         ),
+        # Rejected in every hosting mode, not only with shared_engine.
+        (dict(engine=EngineConfig(batch_size=4)), "batch_size 1"),
+        (dict(engine=EngineConfig(shards=2)), "shards 1"),
+        (dict(engine=EngineConfig(wal_dir="journal")), "wal_dir"),
     ],
 )
 def test_service_config_validation(kwargs, needle):

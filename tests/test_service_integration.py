@@ -4,8 +4,14 @@ Each scenario boots a :class:`ServiceThread` on an ephemeral port and
 drives it with the stdlib :class:`ServiceClient`. The chain workload's
 schemas are R(A), S(A, B), T(B); a "matching triple" ``[R(v), S(v, v),
 T(v)]`` joins end to end, so every third update emits a result delta.
+
+The request-surface tests run on both hosting modes: at module level on
+an isolated service (one lane per query), and again in
+:class:`TestSharedHosting` on a shared-engine service (one lane over a
+``MultiQueryEngine`` holding every member).
 """
 
+import random
 import threading
 import time
 
@@ -294,6 +300,95 @@ def test_drain_completes_work_then_rejects_new(service, client):
         client.register("q2", CHAIN)
     # Drained means processed: the pre-drain triple is in the log.
     assert client.status("q")["processed_seq"] == 2
+
+
+# ----------------------------------------------------------------------
+# The two hosting modes
+# ----------------------------------------------------------------------
+class TestSharedHosting:
+    """The request-surface tests above on a shared-engine service."""
+
+    @pytest.fixture()
+    def service(self):
+        thread = ServiceThread(ServiceConfig(shared_engine=True))
+        thread.start()
+        try:
+            yield thread
+        finally:
+            thread.stop()
+
+    test_register_ingest_results_roundtrip = staticmethod(
+        test_register_ingest_results_roundtrip
+    )
+    test_register_is_idempotent_and_conflicts_are_409 = staticmethod(
+        test_register_is_idempotent_and_conflicts_are_409
+    )
+    test_ingest_validation_is_a_400_not_a_quarantine = staticmethod(
+        test_ingest_validation_is_a_400_not_a_quarantine
+    )
+    test_idempotency_key_replays_instead_of_reingesting = staticmethod(
+        test_idempotency_key_replays_instead_of_reingesting
+    )
+    test_subscription_streams_deltas_and_backfills = staticmethod(
+        test_subscription_streams_deltas_and_backfills
+    )
+    test_drain_completes_work_then_rejects_new = staticmethod(
+        test_drain_completes_work_then_rejects_new
+    )
+
+
+def test_isolated_engine_registry_reaches_metrics(client):
+    client.register("q1", CHAIN)
+    _, ack = client.ingest("q1", _triple(1))
+    _wait_processed(client, "q1", ack["seq_last"])
+    text = client.metrics_text()
+    # The engine's own families, labeled by query like a shared member's.
+    assert 'query_id="q1"' in text
+    assert 'repro_service_queue_depth_updates{query="q1"}' in text
+
+
+def _seeded_arrivals(seed, batches=60):
+    rng = random.Random(seed)
+    for _ in range(batches):
+        batch = []
+        for _ in range(rng.randint(1, 8)):
+            a, b = rng.randrange(6), rng.randrange(6)
+            batch.append(rng.choice(
+                (["R", [a]], ["S", [a, b]], ["T", [b]])
+            ))
+        yield batch
+
+
+def test_one_member_shared_lane_equals_isolated_lane():
+    """Same registration, same seeded ingest: the shared lane with one
+    member and the isolated lane serve byte-identical results."""
+    observed = []
+    for shared in (False, True):
+        thread = ServiceThread(ServiceConfig(shared_engine=shared))
+        thread.start()
+        try:
+            client = ServiceClient(thread.base_url)
+            client.register("q", CHAIN)
+            last = -1
+            for arrivals in _seeded_arrivals(seed=34):
+                status, ack = client.ingest("q", arrivals)
+                assert status == 202
+                last = ack["seq_last"]
+            _wait_processed(client, "q", last)
+            code, _, body = client._request(
+                "GET", "/v1/queries/q/results?since_seq=-1&limit=10000"
+            )
+            assert code == 200
+            observed.append((body, client.status("q")))
+        finally:
+            thread.stop()
+    (isolated_body, isolated), (shared_body, shared) = observed
+    assert isolated["shedding"]["shed_total"] == 0
+    assert isolated["shedding"]["quarantined"] == 0
+    assert shared["shedding"] is None and shared["shared_engine"] is True
+    assert isolated_body == shared_body
+    assert isolated["processed_seq"] == shared["processed_seq"] == last
+    assert isolated["outputs_emitted"] == shared["outputs_emitted"] > 0
 
 
 # ----------------------------------------------------------------------
