@@ -10,8 +10,13 @@ guaranteed, so entries may be dropped at any time (direct-mapped
 replacement, memory reclamation, plan switches) without affecting
 correctness.
 
-Value composites are stored keyed by their rid identity, so a maintenance
-delete removes exactly the right derivation: for prefix-invariant caches a
+Every method speaks positional composites in the cache's own layout, the
+order of ``segment`` (the owner pipeline's, for the pipeline that built
+the store): an entry's values are segment row tuples that a hit splices
+onto its prefix with one concatenation. Lookups and taps in pipelines
+laid out differently permute with a map compiled when they are attached.
+Values are stored keyed by their rid identity, so a maintenance delete
+removes exactly the right derivation: for prefix-invariant caches a
 derivation *is* a full segment composite and appears exactly once, which is
 why no multiplicity counting is needed here (contrast with
 :mod:`repro.caching.global_cache`).
@@ -19,6 +24,7 @@ why no multiplicity counting is needed here (contrast with
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caching.key import CacheKey
@@ -28,9 +34,9 @@ from repro.caching.store import (
     KEY_COMPONENT_BYTES,
     REFERENCE_BYTES,
 )
-from repro.streams.tuples import CompositeTuple
-
 DEFAULT_BUCKETS = 256
+
+_RID = attrgetter("rid")
 
 # Equal to no entry key: starts maintain_each's first run.
 _NO_KEY = object()
@@ -56,7 +62,6 @@ class Cache:
         self.name = name
         self.owner_pipeline = owner_pipeline
         self.segment = tuple(segment)
-        self._canonical_order = tuple(sorted(self.segment))
         self.key = key
         self.store = store if store is not None else DirectMappedStore(buckets)
         self.probes = 0
@@ -76,14 +81,15 @@ class Cache:
     # probe path (CacheLookup)
     # ------------------------------------------------------------------
     def probe(
-        self, composite: CompositeTuple, key: Optional[CacheKey] = None
-    ) -> Tuple[tuple, Optional[List[CompositeTuple]]]:
+        self, composite: tuple, key: Optional[CacheKey] = None
+    ) -> Tuple[tuple, Optional[Sequence[tuple]]]:
         """Probe with a prefix-side composite.
 
-        Returns ``(key, values)`` where values is the list of cached
-        segment composites on a hit or None on a miss (an empty list is a
-        *hit* on a key known to join nothing). The key is returned so the
-        pipeline can group misses and call :meth:`create` once per key.
+        Returns ``(key, values)`` where values is a live view of the
+        entry's segment tuples on a hit — read it before the cache changes
+        again — or None on a miss (an empty view is a *hit* on a key known
+        to join nothing). The key is returned so the pipeline can group
+        misses and call :meth:`create` once per key.
 
         ``key`` overrides the cache's own key extractor: a shared cache
         (Definition 4.1) is probed from several pipelines whose prefix
@@ -97,16 +103,16 @@ class Cache:
             return probe_key, None
         self.hits += 1
         self.total_hits += 1
-        return probe_key, list(value.values())
+        return probe_key, value.values()
 
-    def create(self, probe_key: tuple, composites: List[CompositeTuple]) -> int:
+    def create(self, probe_key: tuple, composites: List[tuple]) -> int:
         """Add an entry computed on a miss (the ``create(u, v)`` of §3.2).
 
         Returns the net change in stored composite count (for cost
         accounting); handles direct-mapped eviction bookkeeping.
         """
-        value: Dict[tuple, CompositeTuple] = {
-            c.identity(self._canonical_order): c for c in composites
+        value: Dict[tuple, tuple] = {
+            tuple(map(_RID, c)): c for c in composites
         }
         evicted = self.store.put(probe_key, value)
         self._memory_bytes += self._entry_base + len(value) * self._composite_bytes
@@ -120,30 +126,30 @@ class Cache:
     # maintenance path (CacheUpdate operators in segment pipelines)
     # ------------------------------------------------------------------
     # A maintenance tap's input composite binds every segment slot (the
-    # prefix invariant of the maintained set), so the entry key and the
-    # identity are read from it directly; it is projected onto the
-    # segment only when it is stored. ``updated_relation`` matters only
-    # to GlobalCache; taking it here lets a tap call either kind alike.
+    # prefix invariant of the maintained set); the tap projects it onto
+    # the cache's layout, and that segment tuple is what is keyed, stored
+    # or removed here. ``updated_relation`` matters only to GlobalCache;
+    # taking it here lets a tap call either kind alike.
     def maintain_insert(
-        self, composite: CompositeTuple, updated_relation: str = ""
+        self, composite: tuple, updated_relation: str = ""
     ) -> bool:
         """Apply ``insert(u, r)``: ignored unless key ``u`` is present."""
         return self.maintain_each((composite,), updated_relation, True)[0]
 
     def maintain_delete(
-        self, composite: CompositeTuple, updated_relation: str = ""
+        self, composite: tuple, updated_relation: str = ""
     ) -> bool:
         """Apply ``delete(u, r)``: ignored unless key ``u`` is present."""
         return self.maintain_each((composite,), updated_relation, False)[0]
 
     def maintain_each(
         self,
-        composites: Sequence[CompositeTuple],
+        composites: Sequence[tuple],
         updated_relation: str,
         insert: bool,
     ) -> List[bool]:
-        """Apply ``insert(u, r)`` (or ``delete``) for every composite, in
-        order; each result is True when its key ``u`` was present.
+        """Apply ``insert(u, r)`` (or ``delete``) for every segment tuple,
+        in order; each result is True when its key ``u`` was present.
 
         The entry is read once per run of equal entry keys: inserting or
         deleting one composite never adds or removes the entry, so the
@@ -162,10 +168,10 @@ class Cache:
             if value is None:
                 present.append(False)
                 continue
-            identity = composite.identity(self._canonical_order)
+            identity = tuple(map(_RID, composite))
             if insert:
                 if identity not in value:
-                    value[identity] = self._segment_part(composite)
+                    value[identity] = composite
                     self._memory_bytes += self._composite_bytes
             elif value.pop(identity, None) is not None:
                 self._memory_bytes -= self._composite_bytes
@@ -182,21 +188,6 @@ class Cache:
             self._entry_base + len(value) * self._composite_bytes
         )
         return True
-
-    def _segment_part(self, composite: CompositeTuple) -> CompositeTuple:
-        # The composite binds every segment relation, so equal sizes mean
-        # equal relation sets.
-        if len(composite) == len(self.segment):
-            return composite
-        return composite.project(self.segment)
-
-    def maintenance_key(self, composite: CompositeTuple) -> tuple:
-        """The entry key a maintenance delta for ``composite`` targets.
-
-        Used by micro-batched maintenance taps to group same-key deltas
-        behind a single hash + bucket check charge.
-        """
-        return self.key.entry_key(composite)
 
     # ------------------------------------------------------------------
     # lifecycle / accounting

@@ -16,7 +16,8 @@ composite that a future probing tuple still needs — and that probe runs
 before its own maintenance, so the loss is unrecoverable). We therefore
 use a counting-free scheme that is sound for every anchor position:
 
-* **segment (X) insert/delete** — add/remove the projected composite;
+* **segment (X) insert/delete** — add/remove the projected composite
+  (the tap projects its ``X ∪ Y`` composite onto ``X``'s layout);
   a derivation *is* the composite here, so set semantics are exact;
 * **anchor (Y) insert** — set-insert the projected composite; this also
   repairs composites that were skipped earlier for lack of a witness;
@@ -38,7 +39,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.caching.cache import Cache
 from repro.caching.key import CacheKey
-from repro.streams.tuples import CompositeTuple
 
 
 class GlobalCache(Cache):
@@ -83,7 +83,7 @@ class GlobalCache(Cache):
 
     def maintain_each(
         self,
-        composites: Sequence[CompositeTuple],
+        composites: Sequence[tuple],
         updated_relation: str,
         insert: bool,
     ) -> List[bool]:

@@ -9,7 +9,9 @@ We canonicalize the key as the ordered tuple of crossing predicates. Probe
 values are extracted from the prefix side of each predicate, entry keys
 from the segment side; because the predicates are equijoins, a probe value
 equals the entry key of exactly the segment tuples that join with the
-probing composite, so a hit needs no residual predicate checks.
+probing composite, so a hit needs no residual predicate checks. A probe
+is a row tuple laid out as ``prefix_relations``, a segment tuple one laid
+out as ``segment_relations``; slots are compiled to positions up front.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.relations.predicates import (
     JoinGraph,
     independent_checks,
 )
-from repro.streams.tuples import CompositeTuple
 
 
 class CacheKey:
@@ -30,7 +31,7 @@ class CacheKey:
 
     __slots__ = (
         "predicates", "_prefix_slots", "_segment_slots", "_width",
-        "_probe_slot", "_entry_slot",
+        "_probe_at", "_entry_at", "_probe_slot", "_entry_slot",
     )
 
     def __init__(
@@ -80,37 +81,43 @@ class CacheKey:
             item[2] for item in deduped
         )
         self._width = len(deduped)
+        prefix, segment = tuple(prefix_relations), tuple(segment_relations)
+        self._probe_at = tuple(
+            (prefix.index(r), p) for r, p in self._prefix_slots
+        )
+        self._entry_at = tuple(
+            (segment.index(r), p) for r, p in self._segment_slots
+        )
         # Single-class keys: when every component holds the same value,
         # the key is ``(v,) * width`` read from one slot — the same tuple
-        # ``values_at`` builds, so the same hash and the same bucket. The
-        # probe side qualifies when all components read one slot; the
+        # reading every slot builds, so the same hash and the same bucket.
+        # The probe side qualifies when all components read one slot; the
         # entry side when the segment's own predicates equate its slots
         # (every composite a key is read from satisfies them). The Fig 9
         # star is the common case: R6's probe key reads R6.A five times.
         self._probe_slot = (
-            self._prefix_slots[0] if len(set(self._prefix_slots)) == 1
-            else None
+            self._probe_at[0] if len(set(self._prefix_slots)) == 1 else None
         )
         self._entry_slot = (
-            self._segment_slots[0]
+            self._entry_at[0]
             if _one_class(graph, segment_relations, self._segment_slots)
             else None
         )
 
-    def probe_value(self, composite: CompositeTuple) -> tuple:
-        """Key extracted from a prefix-side composite (a probing tuple)."""
+    def probe_value(self, composite: tuple) -> tuple:
+        """Key extracted from a probing tuple, laid out as the prefix."""
         slot = self._probe_slot
         if slot is None:
-            return composite.values_at(self._prefix_slots)
-        return (composite.value(slot[0], slot[1]),) * self._width
+            return tuple([composite[i].values[p] for i, p in self._probe_at])
+        return (composite[slot[0]].values[slot[1]],) * self._width
 
-    def entry_key(self, composite: CompositeTuple) -> tuple:
-        """Key extracted from a segment-side composite (a cached value, or
-        a maintenance delta binding every segment slot)."""
+    def entry_key(self, composite: tuple) -> tuple:
+        """Key extracted from a segment tuple, laid out as the segment (a
+        cached value, or a maintenance delta projected onto it)."""
         slot = self._entry_slot
         if slot is None:
-            return composite.values_at(self._segment_slots)
-        return (composite.value(slot[0], slot[1]),) * self._width
+            return tuple([composite[i].values[p] for i, p in self._entry_at])
+        return (composite[slot[0]].values[slot[1]],) * self._width
 
     @property
     def prefix_slots(self) -> Tuple[Tuple[str, int], ...]:

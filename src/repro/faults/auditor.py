@@ -118,25 +118,24 @@ class CoherenceAuditor:
                 p for p in graph.predicates
                 if p.left.relation in segment and p.right.relation in segment
             ]
-            for composite in value.values():
-                for relation in segment:
-                    row = composite.row(relation)  # KeyError → violation
+            for rows in value.values():
+                # A segment tuple, laid out as cache.segment.
+                if len(rows) != len(segment):
+                    return False
+                for relation, row in zip(segment, rows):
                     live = self.executor.relations[relation].live_row(row.rid)
                     if live is None or live.values != row.values:
                         return False
                 for pred in intra:
-                    left = composite.value(
-                        pred.left.relation, graph.attr_position(pred.left)
-                    )
-                    right = composite.value(
-                        pred.right.relation, graph.attr_position(pred.right)
-                    )
+                    left = rows[segment.index(pred.left.relation)].values[
+                        graph.attr_position(pred.left)
+                    ]
+                    right = rows[segment.index(pred.right.relation)].values[
+                        graph.attr_position(pred.right)
+                    ]
                     if left != right:
                         return False
-                seg = composite
-                if composite.relations() != frozenset(segment):
-                    seg = composite.project(segment)
-                if cache.key.entry_key(seg) != key:
+                if cache.key.entry_key(rows) != key:
                     return False
             return True
         except Exception:

@@ -39,7 +39,7 @@ from repro.ordering.agreedy import OrderingConfig
 from repro.parallel.engine import ParallelConfig, run_sharded
 from repro.parallel.spec import ExperimentSpec
 from repro.streams.events import canonical_delta
-from repro.streams.tuples import CompositeTuple, Row
+from repro.streams.tuples import Row
 from repro.streams.workloads import (
     Workload,
     fig6_workload,
@@ -212,11 +212,11 @@ def _poison_one_entry(engine: ACaching) -> bool:
     for candidate_id in sorted(wiring.wired):
         wired = wiring.wired[candidate_id]
         for _key, value in wired.cache.store.entries():
-            for identity, composite in value.items():
-                relation = wired.cache.segment[0]
-                rows = {r: composite.row(r) for r in composite.relations()}
-                rows[relation] = Row(POISON_RID, rows[relation].values)
-                value[identity] = CompositeTuple(rows)
+            for identity, rows in value.items():
+                # Segment tuples are laid out as cache.segment: row 0 is
+                # the segment's first relation.
+                poisoned = Row(POISON_RID, rows[0].values)
+                value[identity] = (poisoned,) + rows[1:]
                 return True
     return False
 

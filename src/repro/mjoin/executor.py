@@ -27,7 +27,6 @@ from repro.streams.events import (
     Update,
     output_deltas,
 )
-from repro.streams.tuples import CompositeTuple
 
 # (relation, global seq) -> profile this update? The seq enables the
 # deterministic cross-shard gate (ProfilerConfig.deterministic_gate).
@@ -188,7 +187,7 @@ class MJoinExecutor:
             started_us = clock.now_us
             prof.begin("update:" + relation, started_us)
         try:
-            composites, profile = self._step(update, apply_window)
+            deltas, profile = self._step(update, apply_window)
         finally:
             # The span must close even when the pipeline raises (a poison
             # update must not leave the profiler stack unbalanced).
@@ -202,20 +201,21 @@ class MJoinExecutor:
                 now_us,
                 pipeline=relation,
                 sign=sign.name,
-                outputs=len(composites),
+                outputs=len(deltas),
                 profiled=profile,
             )
         if resilience is not None:
             resilience.after_update()
-        return output_deltas(composites, sign)
+        return deltas
 
     def _step(
         self, update: Update, apply_window: bool = True
-    ) -> Tuple[List[CompositeTuple], bool]:
+    ) -> Tuple[List[OutputDelta], bool]:
         """One update's join, window write, charges and metrics; returns
-        the output composites and whether the update was profiled."""
+        the output deltas and whether the update was profiled."""
         ctx = self.ctx
         relation = update.relation
+        pipeline = self.pipelines[relation]
         profile = (
             self.profile_gate is not None
             and self.profile_gate(relation, update.seq)
@@ -226,7 +226,7 @@ class MJoinExecutor:
             # (Appendix A); the batch memo must not shortcut them.
             ctx.probe_memo = None
         try:
-            composites, sample = self.pipelines[relation].process(
+            composites, sample = pipeline.process(
                 update.row, update.sign, ctx, profile=profile
             )
         finally:
@@ -244,7 +244,7 @@ class MJoinExecutor:
         metrics = ctx.metrics
         metrics.updates_processed += 1
         metrics.outputs_emitted += len(composites)
-        return composites, profile
+        return output_deltas(composites, pipeline.layout, update.sign), profile
 
     def process_batch(self, batch: DeltaBatch) -> List[List[OutputDelta]]:
         """Process one micro-batch; returns per-update delta lists.
@@ -270,9 +270,7 @@ class MJoinExecutor:
             if self.resilience is not None or self.ctx.obs.instrumented:
                 return [self.process(update) for update in batch]
             step = self._step
-            return [
-                output_deltas(step(update)[0], update.sign) for update in batch
-            ]
+            return [step(update)[0] for update in batch]
         finally:
             if installed:
                 self.ctx.probe_memo = None

@@ -23,7 +23,7 @@ from repro.caching.bloom import MissProbEstimator
 from repro.caching.cache import Cache
 from repro.operators.base import ExecContext
 from repro.streams.events import Sign
-from repro.streams.tuples import CompositeTuple
+from repro.streams.tuples import layout_map
 
 
 class CacheLookup:
@@ -44,10 +44,14 @@ class CacheLookup:
     batches, composites probed, hits, entry creations) — set by the
     pipeline when it compiles its plumbing under an enabled
     observability; None otherwise.
+
+    ``to_store`` / ``from_store`` map this pipeline's segment tuples to
+    the cache's layout and back; both are None when the two agree.
     """
 
     __slots__ = (
         "cache", "start", "end", "key", "owner_witness_count", "counters",
+        "to_store", "from_store",
     )
 
     def __init__(
@@ -62,6 +66,14 @@ class CacheLookup:
         self.key = key if key is not None else cache.key
         self.owner_witness_count = owner_witness_count
         self.counters = None
+        self.to_store = self.from_store = None
+
+    def bind_layout(self, segment: Sequence[str]) -> None:
+        """Compile the maps between the bypassed relations, in this
+        pipeline's order, and the cache's (a shared store may have been
+        built in another order); called by ``Pipeline.attach_lookup``."""
+        self.to_store = layout_map(segment, self.cache.segment)
+        self.from_store = layout_map(self.cache.segment, segment)
 
     @property
     def width(self) -> int:
@@ -79,35 +91,45 @@ class CacheUpdate:
     the updates to the cache's maintained join (guaranteed by the prefix
     invariant of the maintained relation set). ``counters`` is the tap's
     bound (calls, applied) registry counters, set like
-    :attr:`CacheLookup.counters`.
+    :attr:`CacheLookup.counters`. ``segment_of`` projects an input
+    composite onto the cache's layout (None: it is laid out so already).
     """
 
-    __slots__ = ("cache", "position", "owner", "counters")
+    __slots__ = ("cache", "position", "owner", "counters", "segment_of")
 
     def __init__(self, cache: Cache, position: int, owner: str):
         self.cache = cache
         self.position = position
         self.owner = owner  # the updated relation whose pipeline we sit in
         self.counters = None
+        self.segment_of = None
+
+    def bind_layout(self, names: Sequence[str]) -> None:
+        """Compile the projection from this tap's input layout onto the
+        cache's; called by ``Pipeline.attach_update``."""
+        self.segment_of = layout_map(names, self.cache.segment)
 
     def apply(
         self,
-        composites: Sequence[CompositeTuple],
+        composites: Sequence[tuple],
         sign: Sign,
         ctx: ExecContext,
     ) -> None:
         """Run the maintenance calls for a batch of delta composites.
 
-        :meth:`Cache.maintain_each` applies the deltas, reading each run of
-        equal entry keys once. Each delta is then charged a check (a call
-        on an absent key is only a hash + bucket check, ignored per
-        Section 3.2), then the apply cost if its entry was present.
+        :meth:`Cache.maintain_each` applies the deltas, projected onto the
+        cache's layout, reading each run of equal entry keys once. Each
+        delta is then charged a check (a call on an absent key is only a
+        hash + bucket check, ignored per Section 3.2), then the apply cost
+        if its entry was present.
         """
         cm = ctx.cost_model
         charge = ctx.clock.charge
         check, apply_cost = cm.cache_maintain_check, cm.cache_maintain
         cache = self.cache
         ctx.metrics.cache_maintenance_calls += len(composites)
+        if self.segment_of is not None:
+            composites = list(map(self.segment_of, composites))
         present = cache.maintain_each(
             composites, self.owner, sign is Sign.INSERT
         )
@@ -122,11 +144,11 @@ class CacheUpdate:
             # Micro-batch mode: same-key deltas share one hash + bucket
             # check; each applied delta still pays its own cost.
             checked_keys = set()
-            maintenance_key = cache.maintenance_key
+            entry_key = cache.key.entry_key
             for composite, applied in zip(composites, present):
-                entry_key = maintenance_key(composite)
-                if entry_key not in checked_keys:
-                    checked_keys.add(entry_key)
+                key = entry_key(composite)
+                if key not in checked_keys:
+                    checked_keys.add(key)
                     charge(check)
                 if applied:
                     applied_count += 1
@@ -160,7 +182,7 @@ class BloomLookup:
 
     def apply(
         self,
-        composites: Sequence[CompositeTuple],
+        composites: Sequence[tuple],
         ctx: ExecContext,
         sign: Sign = Sign.INSERT,
     ) -> List[float]:

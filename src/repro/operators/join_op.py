@@ -7,10 +7,13 @@ of one such predicate when available and verifies the rest as residuals;
 with no usable index it degrades to a nested-loop scan, which is the
 configuration Figure 10 studies.
 
-What is constant between two changes of the target's index set — which
-index to probe, where the probe value comes from, which residuals can
-still reject a row — is resolved once into a :class:`ProbePlan`, not per
-composite (DESIGN.md, "Hot path: what is resolved when").
+Composites are positional: a ``tuple`` of rows laid out as the
+operator's ``prior`` relations, and a join step is ``composite +
+(row,)``. What is constant between two changes of the target's index set
+— which index to probe, which row of the composite the probe value comes
+from, which residuals can still reject a row — is resolved once into a
+:class:`ProbePlan`, not per composite (DESIGN.md, "Hot path: what is
+resolved when").
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ from repro.errors import PlanError
 from repro.operators.base import BatchProbeMemo, ExecContext
 from repro.relations.predicates import JoinGraph, independent_checks
 from repro.relations.relation import Relation
-from repro.streams.tuples import CompositeTuple, Row
+from repro.streams.tuples import Row
 
 
 class _BoundPredicate(NamedTuple):
-    """A predicate with attribute positions resolved at plan-build time."""
+    """A predicate with attribute positions resolved at plan-build time;
+    ``prior_index`` is the prior relation's row in the composite."""
 
     prior_relation: str
+    prior_index: int
     prior_position: int
     target_attribute: str
     target_position: int
@@ -38,20 +43,21 @@ class ProbePlan(NamedTuple):
 
     ``charged`` is the number of predicates the cost model bills per
     examined row — every bound predicate the index does not serve — while
-    ``residuals`` are the ``(target_position, prior_relation,
+    ``residuals`` are the ``(target_position, prior_index,
     prior_position)`` checks that are actually evaluated: the ones the
     composite invariant (see :class:`JoinOperator`) does not already imply.
-    ``slots`` are the prior ``(relation, position)`` slots the match set
-    depends on: the probe slot (index plans), then each residual's.
+    ``slots`` are the prior ``(index, position)`` slots the match set
+    depends on: the probe slot (index plans), then each residual's. An
+    ``index`` is a row of the composite, a ``position`` an attribute of it.
     """
 
     epoch: int                      # Relation.index_epoch this was resolved at
     index_attribute: Optional[str]  # None: nested-loop scan
-    probe_relation: Optional[str]   # where the index probe value comes from
+    probe_index: Optional[int]      # the row the index probe value is read from
     probe_position: Optional[int]
     charged: int
-    residuals: Tuple[Tuple[int, str, int], ...]
-    slots: Tuple[Tuple[str, int], ...]
+    residuals: Tuple[Tuple[int, int, int], ...]
+    slots: Tuple[Tuple[int, int], ...]
 
 
 class JoinOperator:
@@ -87,6 +93,7 @@ class JoinOperator:
             self._bound.append(
                 _BoundPredicate(
                     prior_relation=prior_ref.relation,
+                    prior_index=self.prior.index(prior_ref.relation),
                     prior_position=graph.attr_position(prior_ref),
                     target_attribute=target_ref.attribute,
                     target_position=graph.attr_position(target_ref),
@@ -100,8 +107,8 @@ class JoinOperator:
         # order cannot matter — unless two of them read attributes of one
         # prior relation (never compared upstream), where only sorting the
         # values reproduces the canonical tuple.
-        self._memo_slots: Tuple[Tuple[int, str, int], ...] = tuple(sorted(
-            (b.target_position, b.prior_relation, b.prior_position)
+        self._memo_slots: Tuple[Tuple[int, int, int], ...] = tuple(sorted(
+            (b.target_position, b.prior_index, b.prior_position)
             for b in self._bound
         ))
         pairs = [(b.target_position, b.prior_relation) for b in self._bound]
@@ -138,9 +145,10 @@ class JoinOperator:
         return plan
 
     def apply(
-        self, composites: Sequence[CompositeTuple], ctx: ExecContext
-    ) -> List[CompositeTuple]:
-        """Join every input composite with the target relation.
+        self, composites: Sequence[tuple], ctx: ExecContext
+    ) -> List[tuple]:
+        """Join every input composite with the target relation; each
+        output is the input plus its matching row, one concatenation.
 
         Composites of one call that agree on the plan's probe value and
         residual values share one match set, read once; each is still
@@ -172,21 +180,18 @@ class JoinOperator:
         else:
             matches = self._memo_matches(composite, plan, memo, cm, charge)
         charge(cm.per_match * len(matches))
-        return composite.extended_each(self.target, matches)
+        return list(map(composite.__add__, zip(matches)))
 
-    def memo_signature(self, composite: CompositeTuple) -> tuple:
+    def memo_signature(self, composite: tuple) -> tuple:
         """The ``BatchProbeMemo`` key: the sorted ``(target_position,
         value)`` constraint pairs the bound predicates impose."""
-        value = composite.value
         signature = tuple([
-            (position, value(relation, prior_position))
-            for position, relation, prior_position in self._memo_slots
+            (position, composite[index].values[prior_position])
+            for position, index, prior_position in self._memo_slots
         ])
         return tuple(sorted(signature)) if self._memo_sorted else signature
 
-    def match_rows(
-        self, composite: CompositeTuple, ctx: ExecContext
-    ) -> List[Row]:
+    def match_rows(self, composite: tuple, ctx: ExecContext) -> List[Row]:
         """Rows of the target joining ``composite`` (no extension).
 
         Used by witness counting for globally-consistent caches.
@@ -217,9 +222,9 @@ class JoinOperator:
             if check not in decided:
                 decided.add(check)
                 residuals.append(
-                    (b.target_position, b.prior_relation, b.prior_position)
+                    (b.target_position, b.prior_index, b.prior_position)
                 )
-        slots = tuple((r, p) for _, r, p in residuals)
+        slots = tuple((i, p) for _, i, p in residuals)
         if index_pred is None:
             return ProbePlan(
                 relation.index_epoch, None, None, None,
@@ -228,19 +233,19 @@ class JoinOperator:
         return ProbePlan(
             relation.index_epoch,
             index_pred.target_attribute,
-            index_pred.prior_relation,
+            index_pred.prior_index,
             index_pred.prior_position,
             len(bound) - 1,
             tuple(residuals),
-            ((index_pred.prior_relation, index_pred.prior_position),) + slots,
+            ((index_pred.prior_index, index_pred.prior_position),) + slots,
         )
 
     def _apply_grouped(
         self,
-        composites: Sequence[CompositeTuple],
+        composites: Sequence[tuple],
         plan: ProbePlan,
         ctx: ExecContext,
-    ) -> List[CompositeTuple]:
+    ) -> List[tuple]:
         """:meth:`apply` outside a micro-batch: one read per signature.
 
         A composite's match set depends only on the target window and the
@@ -251,18 +256,17 @@ class JoinOperator:
         """
         cm = ctx.cost_model
         charge = ctx.clock.charge
-        target = self.target
         slots = plan.slots
         # A one-slot signature is the value itself, not a 1-tuple.
-        single = slots[0] if len(slots) == 1 else None
+        index, position = slots[0] if len(slots) == 1 else (None, None)
         # signature -> (the charges one composite pays, its match set)
         groups: dict = {}
-        outputs: List[CompositeTuple] = []
+        outputs: List[tuple] = []
         for composite in composites:
-            if single is None:
-                signature = composite.values_at(slots)
+            if index is None:
+                signature = tuple([composite[i].values[p] for i, p in slots])
             else:
-                signature = composite.value(single[0], single[1])
+                signature = composite[index].values[position]
             group = groups.get(signature)
             if group is None:
                 billed: List[float] = []
@@ -271,16 +275,16 @@ class JoinOperator:
                 group = groups[signature] = (billed, rows)
             for amount in group[0]:
                 charge(amount)
-            outputs += composite.extended_each(target, group[1])
+            outputs += map(composite.__add__, zip(group[1]))
         return outputs
 
     def _apply_memo_grouped(
         self,
-        composites: Sequence[CompositeTuple],
+        composites: Sequence[tuple],
         plan: ProbePlan,
         memo: BatchProbeMemo,
         ctx: ExecContext,
-    ) -> List[CompositeTuple]:
+    ) -> List[tuple]:
         """:meth:`apply` inside a micro-batch: one memo read per signature.
 
         Equal ``plan.slots`` values give equal memo signatures by the
@@ -291,16 +295,15 @@ class JoinOperator:
         """
         cm = ctx.cost_model
         charge = ctx.clock.charge
-        target = self.target
         slots = plan.slots
-        single = slots[0] if len(slots) == 1 else None
+        index, position = slots[0] if len(slots) == 1 else (None, None)
         groups: dict = {}   # plan-slot signature -> match set
-        outputs: List[CompositeTuple] = []
+        outputs: List[tuple] = []
         for composite in composites:
-            if single is None:
-                key = composite.values_at(slots)
+            if index is None:
+                key = tuple([composite[i].values[p] for i, p in slots])
             else:
-                key = composite.value(single[0], single[1])
+                key = composite[index].values[position]
             matches = groups.get(key)
             if matches is None:
                 matches = groups[key] = self._memo_matches(
@@ -310,11 +313,11 @@ class JoinOperator:
                 memo.hits += 1
                 charge(cm.batch_memo_hit)
             charge(cm.per_match * len(matches))
-            outputs += composite.extended_each(target, matches)
+            outputs += map(composite.__add__, zip(matches))
         return outputs
 
     def _memo_matches(
-        self, composite: CompositeTuple, plan: ProbePlan,
+        self, composite: tuple, plan: ProbePlan,
         memo: BatchProbeMemo, cm, charge,
     ) -> List[Row]:
         """The memoized match set (charged ``batch_memo_hit``), or
@@ -329,7 +332,7 @@ class JoinOperator:
         return matches
 
     def _matches(
-        self, composite: CompositeTuple, plan: ProbePlan, cm, charge
+        self, composite: tuple, plan: ProbePlan, cm, charge
     ) -> List[Row]:
         """Index probe (or nested-loop scan), then the residual filters;
         ``charge`` is called with what they cost."""
@@ -340,12 +343,12 @@ class JoinOperator:
             charge(cm.index_probe)
             rows = self.relation.matching(
                 plan.index_attribute,
-                composite.value(plan.probe_relation, plan.probe_position),
+                composite[plan.probe_index].values[plan.probe_position],
             )
         if plan.charged:
             charge(cm.predicate_eval * len(rows) * plan.charged)
-            for position, prior_relation, prior_position in plan.residuals:
-                wanted = composite.value(prior_relation, prior_position)
+            for position, index, prior_position in plan.residuals:
+                wanted = composite[index].values[prior_position]
                 rows = [row for row in rows if row.values[position] == wanted]
         return rows
 

@@ -7,10 +7,12 @@ of cache plumbing wired in by the re-optimizer:
 * :class:`CacheUpdate` maintenance taps keeping caches consistent,
 * :class:`BloomLookup` profile taps estimating ``miss_prob`` of candidates.
 
-Tap positions are indexed by pipeline *slot*: slot ``p`` sees the
-composites that are the input of operator ``p``; slot ``nops`` sees the
-pipeline's final outputs. By the prefix invariant a maintenance tap's slot
-can never fall strictly inside an active lookup's bypassed range (see
+A composite is a ``tuple`` of rows laid out as :attr:`Pipeline.layout`:
+the owner, then each operator's target. Tap positions are indexed by
+pipeline *slot*: slot ``p`` sees the composites that are the input of
+operator ``p`` (``p + 1`` rows); slot ``nops`` sees the pipeline's final
+outputs. By the prefix invariant a maintenance tap's slot can never fall
+strictly inside an active lookup's bypassed range (see
 ``tests/test_pipeline.py::test_tap_inside_bypass_impossible``), so hits
 never starve maintenance.
 """
@@ -28,7 +30,7 @@ from repro.operators.base import ExecContext
 from repro.operators.cache_ops import BloomLookup, CacheLookup, CacheUpdate
 from repro.operators.join_op import JoinOperator
 from repro.streams.events import Sign
-from repro.streams.tuples import CompositeTuple, Row
+from repro.streams.tuples import Layout, Row, layout_of
 
 ObservationSink = Callable[[str, float], None]
 
@@ -72,9 +74,7 @@ class _InstrumentedOperator:
         self.profiler = profiler
         self.histogram = histogram
 
-    def apply(
-        self, composites: List[CompositeTuple], ctx: ExecContext
-    ) -> List[CompositeTuple]:
+    def apply(self, composites: List[tuple], ctx: ExecContext) -> List[tuple]:
         sample, prof = self.sample, self.profiler
         clock = ctx.clock
         started = clock.now_us
@@ -107,6 +107,9 @@ class Pipeline:
     ):
         self.owner = owner
         self.operators: List[JoinOperator] = list(operators)
+        self.layout: Layout = layout_of(
+            (owner,) + tuple(op.target for op in self.operators)
+        )
         # The registry instruments are bound to, once: per-slot histograms
         # here, per-cache counters whenever the plumbing is compiled. None
         # (no observability, or a disabled one) binds nothing.
@@ -182,6 +185,7 @@ class Pipeline:
                     f"lookup {lookup} would bypass maintenance tap at slot "
                     f"{position}; this violates the prefix invariant"
                 )
+        lookup.bind_layout(self.layout.names[lookup.start + 1:lookup.end + 2])
         self._lookups[lookup.start] = lookup
         self._compile()
 
@@ -208,6 +212,7 @@ class Pipeline:
                     f"maintenance tap {tap} falls inside the bypassed range "
                     f"of {lookup}; this violates the prefix invariant"
                 )
+        tap.bind_layout(self.layout.names[:tap.position + 1])
         self._updates[tap.position].append(tap)
         self._compile()
 
@@ -308,8 +313,9 @@ class Pipeline:
         sign: Sign,
         ctx: ExecContext,
         profile: bool = False,
-    ) -> Tuple[List[CompositeTuple], Optional[ProfileSample]]:
-        """Run one update through the pipeline.
+    ) -> Tuple[List[tuple], Optional[ProfileSample]]:
+        """Run one update through the pipeline; the outputs are row
+        tuples laid out as :attr:`layout`.
 
         With ``profile=True`` the tuple's processing bypasses every active
         CacheLookup (Appendix A: profiled tuples measure the cache-free
@@ -348,7 +354,7 @@ class Pipeline:
         else:
             lookups = self._no_lookups
         slot_taps = self._slot_taps
-        composites: List[CompositeTuple] = [CompositeTuple.of(self.owner, row)]
+        composites: List[tuple] = [(row,)]
         position = 0
         while composites:
             taps = slot_taps[position]
@@ -391,7 +397,7 @@ class Pipeline:
     def _consume_witnesses(
         self,
         lookup: CacheLookup,
-        composites: List[CompositeTuple],
+        composites: List[tuple],
         ctx: ExecContext,
     ) -> None:
         """:meth:`_through_cache`'s last-witness consumption for a delete
@@ -411,15 +417,17 @@ class Pipeline:
     def _through_cache(
         self,
         lookup: CacheLookup,
-        composites: List[CompositeTuple],
+        composites: List[tuple],
         sign: Sign,
         ctx: ExecContext,
-    ) -> List[CompositeTuple]:
-        """Probe the cache for each composite; compute misses per key."""
+    ) -> List[tuple]:
+        """Probe the cache for each composite; compute misses per key.
+        A hit is ``composite + segment`` per cached segment tuple."""
         clock, cm = ctx.clock, ctx.cost_model
         charge = clock.charge
         cache = lookup.cache
         probe, key = cache.probe, lookup.key
+        from_store = lookup.from_store
         obs = ctx.obs
         timed = obs.timing
         if timed:
@@ -443,8 +451,8 @@ class Pipeline:
         charged_keys: Optional[set] = (
             set() if ctx.probe_memo is not None else None
         )
-        results: List[CompositeTuple] = []
-        miss_groups: Dict[tuple, List[CompositeTuple]] = {}
+        results: List[tuple] = []
+        miss_groups: Dict[tuple, List[tuple]] = {}
         hit_count = 0
         try:
             for composite in composites:
@@ -468,7 +476,9 @@ class Pipeline:
                     continue
                 hit_count += 1
                 charge(cm.cache_hit_tuple * len(values))
-                results += composite.merged_each(values)
+                if from_store is not None:
+                    values = map(from_store, values)
+                results += map(composite.__add__, values)
         finally:
             if timed:
                 prof.end(clock.now_us)
@@ -513,9 +523,9 @@ class Pipeline:
     def _fill_misses(
         self,
         lookup: CacheLookup,
-        miss_groups: Dict[tuple, List[CompositeTuple]],
+        miss_groups: Dict[tuple, List[tuple]],
         consumed_keys: Optional[set],
-        results: List[CompositeTuple],
+        results: List[tuple],
         ctx: ExecContext,
     ) -> None:
         """Compute the segment join for each missed key; fill the cache.
@@ -526,6 +536,7 @@ class Pipeline:
         clock, cm = ctx.clock, ctx.cost_model
         cache = lookup.cache
         creates = lookup.counters[3] if lookup.counters is not None else None
+        cut, to_store = lookup.start + 1, lookup.to_store
         for probe_key, group in miss_groups.items():
             if consumed_keys is not None and probe_key in consumed_keys:
                 # Compute through the operators without creating an entry:
@@ -548,20 +559,24 @@ class Pipeline:
                 segment_results = self.operators[op_position].apply(
                     segment_results, ctx
                 )
-            segment_parts = [
-                c.project(cache.segment) for c in segment_results
-            ]
+            segment_parts = [c[cut:] for c in segment_results]
             clock.charge(
                 cm.cache_create + cm.cache_store_tuple * len(segment_parts)
             )
             ctx.metrics.cache_creates += 1
             if creates is not None:
                 creates.inc()
-            cache.create(probe_key, segment_parts)
-            for i, member in enumerate(group):
-                if i > 0:
-                    clock.charge(cm.cache_hit_tuple * len(segment_parts))
-                results += member.merged_each(segment_parts)
+            cache.create(
+                probe_key,
+                segment_parts if to_store is None
+                else list(map(to_store, segment_parts)),
+            )
+            # The representative's outputs are its segment results; every
+            # other member splices the same segment tuples, as on a hit.
+            results += segment_results
+            for member in group[1:]:
+                clock.charge(cm.cache_hit_tuple * len(segment_parts))
+                results += map(member.__add__, segment_parts)
 
     def __repr__(self) -> str:
         chain = " -> ".join(self.order)

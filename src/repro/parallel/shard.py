@@ -133,7 +133,7 @@ def _poison_one_entry(plan) -> bool:
     coherence auditor has something to catch on every shard.
     """
     from repro.faults.chaos import POISON_RID
-    from repro.streams.tuples import CompositeTuple, Row
+    from repro.streams.tuples import Row
 
     reoptimizer = getattr(plan, "reoptimizer", None)
     if reoptimizer is None:
@@ -142,11 +142,11 @@ def _poison_one_entry(plan) -> bool:
     for candidate_id in sorted(wiring.wired):
         wired = wiring.wired[candidate_id]
         for _key, value in wired.cache.store.entries():
-            for identity, composite in value.items():
-                relation = wired.cache.segment[0]
-                rows = {r: composite.row(r) for r in composite.relations()}
-                rows[relation] = Row(POISON_RID, rows[relation].values)
-                value[identity] = CompositeTuple(rows)
+            for identity, rows in value.items():
+                # Segment tuples are laid out as cache.segment: row 0 is
+                # the segment's first relation.
+                poisoned = Row(POISON_RID, rows[0].values)
+                value[identity] = (poisoned,) + rows[1:]
                 return True
     return False
 

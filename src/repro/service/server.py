@@ -363,6 +363,9 @@ class _ServiceLane:
         if multi is not None:
             self._open_tiers(DecisionLog())
         self.worker: Optional[asyncio.Task] = None
+        # Serializes membership changes: each validates against the
+        # windows before its engine job and updates them after it.
+        self._membership = asyncio.Lock()
 
     def _open_tiers(self, decisions: DecisionLog) -> None:
         self.decisions = decisions
@@ -377,42 +380,56 @@ class _ServiceLane:
     # ------------------------------------------------------------------
     # membership / construction / recovery
     # ------------------------------------------------------------------
-    def add(self, member: "QueryHost", workload) -> object:
-        """Host ``member``'s query on this lane; returns its engine."""
-        for relation, size in workload.windows.items():
-            hosted = self.windows.sizes.get(relation)
-            if hosted is not None and hosted != size:
-                raise ConfigError(
-                    f"relation {relation!r} is hosted with window {hosted}; "
-                    f"query {member.name!r} expects {size} — shared streams "
-                    "must agree on window sizes"
-                )
-        if self.multi is not None:
-            # Splices into the shared engine warm; the lane's windows
-            # grow only after the engine accepted the query.
-            engine = self.multi.register(
-                member.name, workload, self.config.engine
-            )
-        for relation, size in workload.windows.items():
-            self.windows.add_relation(relation, size)
-        if self.multi is None:
-            self._workload = workload
-            if self.config.wal_root is not None:
-                self._open_durable(member)
-            else:
-                self.plan = self._construct_engine()
-            self._open_tiers(self.plan.ctx.obs.decisions)
-            engine = self.plan
-        self.members[member.name] = member
-        return engine
+    async def add(self, member: "QueryHost", workload) -> object:
+        """Host ``member``'s query on this lane; returns its engine.
 
-    def remove(self, name: str) -> None:
-        """Remove a member of a shared lane at an update boundary; the
-        shared windows stay warm and only unreferenced cache bytes are
-        released."""
-        member = self.members.pop(name)
-        self.multi.unregister(name)
-        member.close_subscribers("unregistered")
+        On a shared lane the engine half — splicing the query into the
+        shared engine — is a job on the engine executor, which is single
+        threaded and FIFO, so it lands between two batches, never inside
+        one. The loop-owned state (windows, members) changes only after
+        that job is done.
+        """
+        async with self._membership:
+            for relation, size in workload.windows.items():
+                hosted = self.windows.sizes.get(relation)
+                if hosted is not None and hosted != size:
+                    raise ConfigError(
+                        f"relation {relation!r} is hosted with window "
+                        f"{hosted}; query {member.name!r} expects {size} — "
+                        "shared streams must agree on window sizes"
+                    )
+            if self.multi is not None:
+                # Splices into the shared engine warm; the lane's windows
+                # grow only after the engine accepted the query.
+                engine = await self._loop.run_in_executor(
+                    self._engine_exec, self.multi.register,
+                    member.name, workload, self.config.engine,
+                )
+            for relation, size in workload.windows.items():
+                self.windows.add_relation(relation, size)
+            if self.multi is None:
+                self._workload = workload
+                if self.config.wal_root is not None:
+                    self._open_durable(member)
+                else:
+                    self.plan = self._construct_engine()
+                self._open_tiers(self.plan.ctx.obs.decisions)
+                engine = self.plan
+            self.members[member.name] = member
+            return engine
+
+    async def remove(self, name: str) -> None:
+        """Remove a member of a shared lane at an update boundary — the
+        engine half is a job on the engine executor, as in :meth:`add` —
+        the shared windows stay warm and only unreferenced cache bytes
+        are released."""
+        async with self._membership:
+            if name not in self.members:
+                return
+            await self._loop.run_in_executor(
+                self._engine_exec, self.multi.unregister, name
+            )
+            self.members.pop(name).close_subscribers("unregistered")
 
     def _construct_engine(self):
         from repro import obs as obs_mod
@@ -811,7 +828,8 @@ class QueryHost:
         self.lane = lane
         self.queue = lane.queue
         self.windows = lane.windows
-        self.plan = lane.add(self, workload)
+        self.workload = workload
+        self.plan = None            # set once the lane hosts the query
         self._ingest_counter = registry.counter(
             "repro_service_ingest_updates_total", {"query": name}
         )
@@ -953,7 +971,7 @@ class StreamingService:
                 if os.path.isfile(spec_path):
                     with open(spec_path, "r", encoding="utf-8") as handle:
                         spec = json.load(handle)
-                    self._add_host(entry, spec)
+                    await self._add_host(entry, spec)
         try:
             self._server = await asyncio.start_server(
                 self._on_connection, self.config.host, self.config.port
@@ -967,12 +985,13 @@ class StreamingService:
         self.started = True
         return self
 
-    def _add_host(self, name: str, spec: dict) -> QueryHost:
+    async def _add_host(self, name: str, spec: dict) -> QueryHost:
         host = QueryHost(
             name, spec, self.config, self._loop,
             self._wal_exec, self._engine_exec, self.registry,
             lane=self._shared_lane,
         )
+        host.plan = await host.lane.add(host, host.workload)
         host.lane.start()
         self.hosts[name] = host
         return host
@@ -1146,7 +1165,7 @@ class StreamingService:
             if action is None and method == "GET":
                 return json_response(200, host.status()), 200
             if action is None and method == "DELETE":
-                return self._unregister(name)
+                return await self._unregister(name)
         return json_response(
             404, {"error": f"no route for {method} {path}"}
         ), 404
@@ -1172,18 +1191,18 @@ class StreamingService:
                 {"error": f"query {name!r} exists with a different spec"},
             ), 409
         workload_factory(spec["workload"])  # validate before building
-        host = self._add_host(name, spec)
+        host = await self._add_host(name, spec)
         return json_response(200, host.status()), 200
 
-    def _unregister(self, name: str) -> Tuple[bytes, int]:
+    async def _unregister(self, name: str) -> Tuple[bytes, int]:
         """Remove a query from the shared engine at an update boundary."""
         if self._shared_lane is None:
             return json_response(
                 400,
                 {"error": "unregister requires a shared_engine service"},
             ), 400
-        self._shared_lane.remove(name)
-        del self.hosts[name]
+        await self._shared_lane.remove(name)
+        self.hosts.pop(name, None)
         for key in [k for k in self._idem_done if k[0] == name]:
             del self._idem_done[key]
         return json_response(

@@ -14,7 +14,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from repro.errors import ConfigError
-from repro.streams.tuples import Row
+from repro.streams.tuples import CompositeTuple, Layout, Row
 
 # Size of one input tuple in bytes, as fixed by the paper's experimental
 # setup ("All input tuples are 32 bytes long", Section 7.1). Used by the
@@ -47,23 +47,49 @@ class Update(NamedTuple):
 
 
 class OutputDelta(NamedTuple):
-    """One element of the result stream: a signed n-way join tuple."""
+    """One element of the result stream: a signed n-way join tuple.
 
-    composite: "object"  # CompositeTuple; typed loosely to avoid cycle
+    ``rows`` holds one :class:`Row` per relation, laid out as ``layout``.
+    Equality and hashing mean the same relation→row bindings and sign,
+    whatever layout produced the delta.
+    """
+
+    rows: tuple
+    layout: Layout
     sign: Sign
+
+    @property
+    def composite(self) -> CompositeTuple:
+        """The name-keyed view of ``rows``, built on each read."""
+        return CompositeTuple(self.layout, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OutputDelta):
+            return NotImplemented
+        return self.sign == other.sign and self.composite == other.composite
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash((self.composite, self.sign))
 
 
 _new_delta = partial(tuple.__new__, OutputDelta)
 
 
-def output_deltas(composites: Iterable, sign: Sign) -> List[OutputDelta]:
-    """One :class:`OutputDelta` per composite, all carrying ``sign``.
+def output_deltas(
+    composites: Iterable[tuple], layout: Layout, sign: Sign
+) -> List[OutputDelta]:
+    """One :class:`OutputDelta` per row tuple, all laid out as ``layout``
+    and carrying ``sign``.
 
     An update can emit hundreds of deltas, so the list is built by
     ``map`` over C callables: no Python frame per delta, which the
     generated ``OutputDelta.__new__`` (and ``_make``) would cost.
     """
-    return list(map(_new_delta, zip(composites, repeat(sign))))
+    return list(map(_new_delta, zip(composites, repeat(layout), repeat(sign))))
 
 
 class DeltaBatch:
@@ -143,13 +169,9 @@ def canonical_delta(delta: "OutputDelta") -> tuple:
     when the visible results are equal. Used by the chaos harness and the
     shard-equivalence merge.
     """
-    composite = delta.composite
     return (
         int(delta.sign),
-        tuple(
-            sorted(
-                (relation, composite.row(relation).values)
-                for relation in composite.relations()
-            )
-        ),
+        tuple(sorted(zip(
+            delta.layout.names, [row.values for row in delta.rows]
+        ))),
     )

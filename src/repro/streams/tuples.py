@@ -3,7 +3,9 @@
 The data model mirrors Section 3.1 of the paper: each relation ``Ri`` has a
 flat schema of named attributes; base tuples are immutable rows; composite
 tuples are the concatenation of one row per relation produced while an
-update travels down an MJoin pipeline.
+update travels down an MJoin pipeline: a ``tuple`` of rows laid out in
+the pipeline's order (a :class:`Layout`), read by name as a
+:class:`CompositeTuple`.
 
 Rows carry a engine-assigned ``rid`` (row identity) so that the deletion of a
 specific window tuple — as emitted by a sliding-window operator — removes
@@ -13,7 +15,10 @@ evict composites containing a deleted row in O(1) per composite.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Mapping, Tuple
+from operator import itemgetter
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple,
+)
 
 from repro.errors import SchemaError
 
@@ -99,133 +104,138 @@ class Row:
         return f"Row#{self.rid}{self.values}"
 
 
-class CompositeTuple:
-    """A joined tuple: a mapping from relation name to one :class:`Row`.
+class Layout:
+    """Which relation each row of a positional composite belongs to.
 
-    Composites are immutable: ``extended`` / ``merge`` / ``project`` return
-    a new composite. A single input row fans out into many composites
-    inside a pipeline, so each of them builds its mapping exactly once and
-    hands it to :func:`_adopt` rather than through the copying public
-    constructor.
+    Layouts are interned by their names — equal layouts are one object,
+    before and after a pickle — so a layout compares by identity.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("names", "index")
 
-    def __init__(self, rows: Mapping[str, Row]):
-        self._rows = dict(rows)
+    def __init__(self, names: Tuple[str, ...]):
+        self.names = names
+        self.index = {name: i for i, name in enumerate(names)}
+
+    def __reduce__(self):
+        return layout_of, (self.names,)
+
+    def __repr__(self) -> str:
+        return f"Layout{self.names}"
+
+
+_LAYOUTS: Dict[Tuple[str, ...], Layout] = {}
+
+
+def layout_of(names: Iterable[str]) -> Layout:
+    """The one :class:`Layout` for ``names``, in that order."""
+    names = tuple(names)
+    layout = _LAYOUTS.get(names)
+    if layout is None:
+        layout = _LAYOUTS[names] = Layout(names)
+    return layout
+
+
+def layout_map(
+    source: Sequence[str], target: Sequence[str]
+) -> Optional[Callable[[tuple], tuple]]:
+    """The row tuple laid out as ``target``, read from one laid out as
+    ``source`` (which binds every relation of ``target``): an
+    ``operator.itemgetter``, or None when the two are the same layout."""
+    source, target = tuple(source), tuple(target)
+    if source == target:
+        return None
+    picks = [source.index(name) for name in target]
+    if len(picks) == 1:
+        return itemgetter(slice(picks[0], picks[0] + 1))
+    return itemgetter(*picks)
+
+
+class CompositeTuple:
+    """A joined tuple read by relation name: rows plus their layout.
+
+    The name-keyed view of a positional composite, and the value type of
+    the public surface (an :class:`~repro.streams.events.OutputDelta`
+    builds one when ``delta.composite`` is read). Immutable: ``extended``
+    / ``merge`` / ``project`` return a new composite. Equality and
+    hashing go by the relation→row bindings (rows compare by rid),
+    whatever the order of the layouts.
+    """
+
+    __slots__ = ("layout", "rows")
+
+    def __init__(self, layout: Layout, rows: tuple):
+        self.layout = layout
+        self.rows = rows
 
     @classmethod
     def of(cls, relation: str, row: Row) -> "CompositeTuple":
         """Build a single-relation composite (pipeline entry point)."""
-        return _adopt({relation: row})
+        return cls(layout_of((relation,)), (row,))
 
     def extended(self, relation: str, row: Row) -> "CompositeTuple":
         """Return a new composite that also binds ``relation`` to ``row``."""
-        rows = self._rows.copy()
-        rows[relation] = row
-        return _adopt(rows)
-
-    def extended_each(
-        self, relation: str, rows: Iterable[Row]
-    ) -> List["CompositeTuple"]:
-        """One :meth:`extended` composite per row of ``rows`` — a join
-        step's fan-out, built without a Python call per output."""
-        base = self._rows
-        outputs = []
-        for row in rows:
-            bound = base.copy()
-            bound[relation] = row
-            composite = _new_composite(CompositeTuple)
-            composite._rows = bound
-            outputs.append(composite)
-        return outputs
-
-    def merged_each(
-        self, others: Iterable["CompositeTuple"]
-    ) -> List["CompositeTuple"]:
-        """One :meth:`merge` composite per composite of ``others`` — a
-        cache hit's splice, built without a Python call per output."""
-        base = self._rows
-        outputs = []
-        for other in others:
-            bound = base.copy()
-            bound.update(other._rows)
-            composite = _new_composite(CompositeTuple)
-            composite._rows = bound
-            outputs.append(composite)
-        return outputs
+        return CompositeTuple(
+            layout_of(self.layout.names + (relation,)), self.rows + (row,)
+        )
 
     def row(self, relation: str) -> Row:
         """Return the row bound for ``relation`` (KeyError if unbound)."""
-        return self._rows[relation]
+        return self.rows[self.layout.index[relation]]
 
     def value(self, relation: str, position: int) -> Any:
         """Return attribute ``position`` of the row bound for ``relation``."""
-        return self._rows[relation].values[position]
-
-    def values_at(self, slots: Iterable[Tuple[str, int]]) -> tuple:
-        """The values at several ``(relation, position)`` slots, in order.
-
-        One call per composite for a whole cache key, instead of one
-        :meth:`value` call per key component.
-        """
-        rows = self._rows
-        return tuple([rows[rel].values[pos] for rel, pos in slots])
+        return self.rows[self.layout.index[relation]].values[position]
 
     def relations(self) -> frozenset:
         """The set of relation names bound in this composite."""
-        return frozenset(self._rows)
+        return frozenset(self.layout.names)
 
     def project(self, relations: Iterable[str]) -> "CompositeTuple":
-        """Return a composite restricted to ``relations``."""
-        rows = self._rows
-        return _adopt({r: rows[r] for r in relations})
+        """Return a composite restricted to ``relations``, in that order."""
+        names = tuple(relations)
+        index, rows = self.layout.index, self.rows
+        return CompositeTuple(
+            layout_of(names), tuple([rows[index[r]] for r in names])
+        )
 
     def merge(self, other: "CompositeTuple") -> "CompositeTuple":
         """Concatenate two composites over disjoint relation sets."""
-        rows = self._rows.copy()
-        rows.update(other._rows)
-        return _adopt(rows)
+        return CompositeTuple(
+            layout_of(self.layout.names + other.layout.names),
+            self.rows + other.rows,
+        )
 
     def identity(self, order: Iterable[str]) -> tuple:
         """A hashable identity: the rids of the bound rows, in ``order``."""
-        rows = self._rows
-        return tuple([rows[r].rid for r in order])
+        index, rows = self.layout.index, self.rows
+        return tuple([rows[index[r]].rid for r in order])
 
     def __contains__(self, relation: str) -> bool:
-        return relation in self._rows
+        return relation in self.layout.index
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._rows)
+        return iter(self.layout.names)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompositeTuple):
             return NotImplemented
-        return self._rows == other._rows
+        if self.layout is other.layout:
+            return self.rows == other.rows
+        return dict(zip(self.layout.names, self.rows)) == dict(
+            zip(other.layout.names, other.rows)
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._rows.items()))
+        return hash(frozenset(zip(self.layout.names, self.rows)))
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{r}={row!r}" for r, row in sorted(self._rows.items()))
+        pairs = sorted(zip(self.layout.names, self.rows))
+        parts = ", ".join(f"{r}={row!r}" for r, row in pairs)
         return f"Composite({parts})"
-
-
-_new_composite = object.__new__
-
-
-def _adopt(rows: dict) -> CompositeTuple:
-    """The no-copy constructor: wrap a mapping the caller just built.
-
-    The caller gives ``rows`` up — nothing else may hold a reference to
-    it, or the composite would stop being immutable.
-    """
-    composite = _new_composite(CompositeTuple)
-    composite._rows = rows
-    return composite
 
 
 class RowFactory:

@@ -18,7 +18,7 @@ from repro.errors import PlanError
 from repro.operators.base import ExecContext
 from repro.relations.predicates import EquiPredicate, JoinGraph
 from repro.relations.relation import Relation
-from repro.streams.events import OutputDelta, Sign, Update, output_deltas
+from repro.streams.events import OutputDelta, Sign, Update
 from repro.streams.tuples import CompositeTuple
 from repro.xjoin.tree import Inner, JoinTree, Leaf, inner_nodes, leaves
 
@@ -209,7 +209,8 @@ class XJoinExecutor:
             )
         if self.resilience is not None:
             self.resilience.after_update()
-        return output_deltas(delta, update.sign)
+        sign = update.sign
+        return [OutputDelta(c.rows, c.layout, sign) for c in delta]
 
     def process_batch(self, batch) -> List[List[OutputDelta]]:
         """Process one micro-batch; returns per-update delta lists.

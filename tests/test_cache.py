@@ -7,7 +7,7 @@ from repro.caching.global_cache import GlobalCache
 from repro.caching.key import CacheKey
 from repro.caching.store import DirectMappedStore
 from repro.relations.predicates import JoinGraph
-from repro.streams.tuples import CompositeTuple, Row, RowFactory, Schema
+from repro.streams.tuples import RowFactory, Schema
 
 
 def chain_graph():
@@ -33,36 +33,37 @@ def make_cache(graph, buckets=64):
 
 
 def seg_composite(rows, a, b):
+    """A segment tuple, laid out as the cache's segment (S, R)."""
     s = rows.make((a, b))
     r = rows.make((a,))
-    return CompositeTuple.of("S", s).extended("R", r)
+    return (s, r)
 
 
 class TestCacheProbeCreate:
     def test_miss_then_hit(self, graph, rows):
         cache = make_cache(graph)
         t_row = rows.make((7,))
-        probe = CompositeTuple.of("T", t_row)
+        probe = (t_row,)
         key, values = cache.probe(probe)
         assert values is None
         composite = seg_composite(rows, a=1, b=7)
         cache.create(key, [composite])
         key2, values2 = cache.probe(probe)
         assert key2 == key
-        assert values2 == [composite]
+        assert list(values2) == [composite]
         assert cache.probes == 2 and cache.hits == 1
 
     def test_empty_entry_is_a_hit(self, graph, rows):
         cache = make_cache(graph)
-        probe = CompositeTuple.of("T", rows.make((9,)))
+        probe = (rows.make((9,)),)
         key, _ = cache.probe(probe)
         cache.create(key, [])
         _, values = cache.probe(probe)
-        assert values == []
+        assert list(values) == []
 
     def test_observed_miss_prob(self, graph, rows):
         cache = make_cache(graph)
-        probe = CompositeTuple.of("T", rows.make((1,)))
+        probe = (rows.make((1,)),)
         key, _ = cache.probe(probe)  # miss
         cache.create(key, [])
         cache.probe(probe)  # hit
@@ -74,13 +75,13 @@ class TestCacheProbeCreate:
 class TestCacheMaintenance:
     def test_insert_into_present_key(self, graph, rows):
         cache = make_cache(graph)
-        probe = CompositeTuple.of("T", rows.make((7,)))
+        probe = (rows.make((7,)),)
         key, _ = cache.probe(probe)
         cache.create(key, [])
         new_seg = seg_composite(rows, a=1, b=7)
         assert cache.maintain_insert(new_seg)
         _, values = cache.probe(probe)
-        assert values == [new_seg]
+        assert list(values) == [new_seg]
 
     def test_insert_on_absent_key_ignored(self, graph, rows):
         cache = make_cache(graph)
@@ -89,32 +90,32 @@ class TestCacheMaintenance:
 
     def test_delete_removes_exact_composite(self, graph, rows):
         cache = make_cache(graph)
-        probe = CompositeTuple.of("T", rows.make((7,)))
+        probe = (rows.make((7,)),)
         key, _ = cache.probe(probe)
         a = seg_composite(rows, a=1, b=7)
         b = seg_composite(rows, a=2, b=7)
         cache.create(key, [a, b])
         cache.maintain_delete(a)
         _, values = cache.probe(probe)
-        assert values == [b]
+        assert list(values) == [b]
 
     def test_delete_is_idempotent(self, graph, rows):
         cache = make_cache(graph)
-        probe = CompositeTuple.of("T", rows.make((7,)))
+        probe = (rows.make((7,)),)
         key, _ = cache.probe(probe)
         a = seg_composite(rows, a=1, b=7)
         cache.create(key, [a])
         cache.maintain_delete(a)
         cache.maintain_delete(a)  # second call is a no-op
         _, values = cache.probe(probe)
-        assert values == []
+        assert list(values) == []
 
 
 class TestCacheMemoryAccounting:
     def test_bytes_track_contents(self, graph, rows):
         cache = make_cache(graph)
         assert cache.memory_bytes == 0
-        probe = CompositeTuple.of("T", rows.make((7,)))
+        probe = (rows.make((7,)),)
         key, _ = cache.probe(probe)
         cache.create(key, [seg_composite(rows, a=1, b=7)])
         after_create = cache.memory_bytes
@@ -127,7 +128,7 @@ class TestCacheMemoryAccounting:
 
     def test_same_key_recreate_does_not_leak(self, graph, rows):
         cache = make_cache(graph)
-        probe = CompositeTuple.of("T", rows.make((7,)))
+        probe = (rows.make((7,)),)
         key, _ = cache.probe(probe)
         cache.create(key, [seg_composite(rows, a=1, b=7)])
         size = cache.memory_bytes
@@ -136,8 +137,8 @@ class TestCacheMemoryAccounting:
 
     def test_direct_mapped_eviction_accounted(self, graph, rows):
         cache = make_cache(graph, buckets=1)
-        p1 = CompositeTuple.of("T", rows.make((1,)))
-        p2 = CompositeTuple.of("T", rows.make((2,)))
+        p1 = (rows.make((1,)),)
+        p2 = (rows.make((2,)),)
         k1, _ = cache.probe(p1)
         cache.create(k1, [seg_composite(rows, a=1, b=1)])
         k2, _ = cache.probe(p2)
@@ -148,7 +149,7 @@ class TestCacheMemoryAccounting:
 
     def test_invalidate(self, graph, rows):
         cache = make_cache(graph)
-        probe = CompositeTuple.of("T", rows.make((7,)))
+        probe = (rows.make((7,)),)
         key, _ = cache.probe(probe)
         cache.create(key, [seg_composite(rows, a=1, b=7)])
         assert cache.invalidate(key)
@@ -163,14 +164,10 @@ class TestGlobalCache:
             "g", "R", ("S", "T"), key, anchor=("R",), buckets=64
         )
 
-    def full_composite(self, rows, a, b):
-        s = rows.make((a, b))
-        t = rows.make((b,))
-        r = rows.make((a,))
-        return (
-            CompositeTuple.of("S", s).extended("T", t).extended("R", r),
-            CompositeTuple.of("S", s).extended("T", t),
-        )
+    def segment_tuple(self, rows, a, b):
+        """An (S, T) segment tuple: a tap's (S, T, R) delta projected onto
+        the cache's layout, which is what the tap hands the cache."""
+        return (rows.make((a, b)), rows.make((b,)))
 
     def test_anchor_disjoint_from_segment(self, graph):
         key = CacheKey(graph, ("R",), ("S", "T"))
@@ -179,35 +176,35 @@ class TestGlobalCache:
 
     def test_segment_insert_repairs_entry(self, graph, rows):
         cache = self.make(graph, rows)
-        probe = CompositeTuple.of("R", rows.make((5,)))
+        probe = (rows.make((5,)),)
         key, _ = cache.probe(probe)
         cache.create(key, [])
-        full, seg = self.full_composite(rows, a=5, b=2)
-        assert cache.maintain_insert(full, "S")
+        seg = self.segment_tuple(rows, a=5, b=2)
+        assert cache.maintain_insert(seg, "S")
         _, values = cache.probe(probe)
-        assert values == [seg]
+        assert list(values) == [seg]
 
     def test_anchor_delete_invalidates_whole_entry(self, graph, rows):
         cache = self.make(graph, rows)
-        probe = CompositeTuple.of("R", rows.make((5,)))
+        probe = (rows.make((5,)),)
         key, _ = cache.probe(probe)
-        full, seg = self.full_composite(rows, a=5, b=2)
+        seg = self.segment_tuple(rows, a=5, b=2)
         cache.create(key, [seg])
-        assert cache.maintain_delete(full, "R")
+        assert cache.maintain_delete(seg, "R")
         assert cache.invalidations == 1
         _, values = cache.probe(probe)
         assert values is None  # entry gone → miss
 
     def test_segment_delete_removes_composite_only(self, graph, rows):
         cache = self.make(graph, rows)
-        probe = CompositeTuple.of("R", rows.make((5,)))
+        probe = (rows.make((5,)),)
         key, _ = cache.probe(probe)
-        full_a, seg_a = self.full_composite(rows, a=5, b=2)
-        full_b, seg_b = self.full_composite(rows, a=5, b=3)
+        seg_a = self.segment_tuple(rows, a=5, b=2)
+        seg_b = self.segment_tuple(rows, a=5, b=3)
         cache.create(key, [seg_a, seg_b])
-        cache.maintain_delete(full_a, "S")
+        cache.maintain_delete(seg_a, "S")
         _, values = cache.probe(probe)
-        assert values == [seg_b]
+        assert list(values) == [seg_b]
 
     def test_maintenance_relations(self, graph, rows):
         cache = self.make(graph, rows)

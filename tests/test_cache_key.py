@@ -5,7 +5,7 @@ import pytest
 from repro.caching.key import CacheKey
 from repro.errors import PlanError
 from repro.relations.predicates import JoinGraph
-from repro.streams.tuples import CompositeTuple, RowFactory, Schema
+from repro.streams.tuples import RowFactory, Schema
 from repro.streams.workloads import star_graph
 
 
@@ -24,11 +24,10 @@ class TestChainKeys:
         assert key.width == 1
         rows = RowFactory()
         t = rows.make((42,))
-        assert key.probe_value(CompositeTuple.of("T", t)) == (42,)
+        assert key.probe_value((t,)) == (42,)
         s = rows.make((1, 42))
         r = rows.make((1,))
-        seg = CompositeTuple.of("S", s).extended("R", r)
-        assert key.entry_key(seg) == (42,)
+        assert key.entry_key((s, r)) == (42,)  # laid out as (S, R)
 
     def test_keyless_segment_rejected(self):
         graph = chain_graph()
@@ -43,7 +42,7 @@ class TestStarKeys:
         # Closure gives R4-R1 and R4-R2 predicates: two components.
         assert key.width == 2
         rows = RowFactory()
-        probe = CompositeTuple.of("R4", rows.make((9,)))
+        probe = (rows.make((9,)),)
         assert key.probe_value(probe) == (9, 9)
 
     def test_shared_signature_across_pipelines(self):
@@ -60,8 +59,8 @@ class TestStarKeys:
         rows = RowFactory()
         r1 = rows.make((5,))
         r2 = rows.make((5,))
-        seg = CompositeTuple.of("R1", r1).extended("R2", r2)
-        assert key_a.entry_key(seg) == key_b.entry_key(seg)
+        # Each key reads a segment tuple laid out in its own order.
+        assert key_a.entry_key((r1, r2)) == key_b.entry_key((r2, r1))
 
     def test_prefix_slots_exposed(self):
         graph = star_graph(4)
@@ -83,9 +82,9 @@ class TestClassWithTwoAttributesOfOneRelation:
         key = CacheKey(self.graph(), ("T",), ("R",))
         assert key.width == 2
         rows = RowFactory()
-        entry = key.entry_key(CompositeTuple.of("R", rows.make((5,))))
-        assert key.probe_value(CompositeTuple.of("T", rows.make((5, 5)))) == entry
-        assert key.probe_value(CompositeTuple.of("T", rows.make((5, 6)))) != entry
+        entry = key.entry_key((rows.make((5,)),))
+        assert key.probe_value((rows.make((5, 5)),)) == entry
+        assert key.probe_value((rows.make((5, 6)),)) != entry
 
     def test_two_prefix_relations_dedupe_to_one_component(self):
         # Star: R3.A equals R1.A and R2.A, which upstream made equal.

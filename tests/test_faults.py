@@ -282,11 +282,9 @@ def test_auditor_detaches_poisoned_cache_and_rebuilds():
         value = first_live_entry()
 
     # Poison one cached row: a rid no generator ever assigns.
-    identity, composite = next(iter(value.items()))
-    rows = {r: composite.row(r) for r in composite.relations()}
-    relation = wired.cache.segment[0]
-    rows[relation] = Row(999_999_983, rows[relation].values)
-    value[identity] = type(composite)(rows)
+    # Entries hold segment row tuples laid out as cache.segment.
+    identity, rows = next(iter(value.items()))
+    value[identity] = (Row(999_999_983, rows[0].values),) + rows[1:]
 
     auditor = plan.resilience.auditor
     for _ in range(200):

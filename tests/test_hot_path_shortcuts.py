@@ -3,7 +3,7 @@
 * the profiler's deterministic gate continues a precomputed CRC of the
   ``"<seed>:"`` prefix; it must equal :func:`deterministic_gate_hash`;
 * single-class cache keys read one slot and repeat it; the key must equal
-  ``values_at`` over every slot, on composites from a live run;
+  the value read at every slot by name, on composites from a live run;
 * A-Greedy samples each ``(predicate, target)`` once per check; its
   smoothed estimates and the clock must equal those of an estimator that
   re-samples on every call.
@@ -33,7 +33,7 @@ from repro.parallel.bench import bench_tuning
 from repro.relations.predicates import JoinGraph
 from repro.relations.relation import Relation
 from repro.scenarios.library import SCENARIOS, build_scenario_workload
-from repro.streams.tuples import CompositeTuple, Row, Schema
+from repro.streams.tuples import CompositeTuple, Row, Schema, layout_of
 from repro.streams.workloads import fig9_workload
 
 
@@ -70,10 +70,15 @@ def _live_run(workload, arrivals, monkeypatch):
 
     def recording(self, composites, ctx):
         outputs = apply(self, composites, ctx)
-        for composite in list(composites) + list(outputs):
-            kept = seen.setdefault(frozenset(composite), [])
-            if len(kept) < 40:
-                kept.append(composite)
+        for layout, batch in (
+            (layout_of(self.prior), composites),
+            (layout_of(self.prior + (self.target,)), outputs),
+        ):
+            for rows in batch:
+                composite = CompositeTuple(layout, rows)
+                kept = seen.setdefault(frozenset(composite), [])
+                if len(kept) < 40:
+                    kept.append(composite)
         return outputs
 
     monkeypatch.setattr(JoinOperator, "apply", recording)
@@ -94,6 +99,16 @@ KEY_WORKLOADS = {
 }
 
 
+def _read(composite, slots):
+    """The values at ``(relation, position)`` slots, read by name."""
+    return tuple(composite.value(relation, p) for relation, p in slots)
+
+
+def _laid_out(composite, relations):
+    """``composite``'s rows laid out as ``relations``."""
+    return tuple(composite.row(relation) for relation in relations)
+
+
 @pytest.mark.parametrize("name", sorted(KEY_WORKLOADS))
 def test_single_class_keys_equal_values_at(name, monkeypatch):
     workload = KEY_WORKLOADS[name]()
@@ -109,16 +124,16 @@ def test_single_class_keys_equal_values_at(name, monkeypatch):
         probed = entered = 0
         for composite in composites:
             bound = set(composite)
-            if {rel for rel, _ in prefix_slots} <= bound:
+            if set(candidate.prefix) <= bound:
                 probed += 1
-                assert key.probe_value(composite) == composite.values_at(
-                    prefix_slots
-                )
+                assert key.probe_value(
+                    _laid_out(composite, candidate.prefix)
+                ) == _read(composite, prefix_slots)
             if set(candidate.segment) <= bound:
                 entered += 1
-                assert key.entry_key(composite) == composite.values_at(
-                    segment_slots
-                )
+                assert key.entry_key(
+                    _laid_out(composite, candidate.segment)
+                ) == _read(composite, segment_slots)
         assert probed and entered, candidate.candidate_id
         single += key._probe_slot is not None and key._entry_slot is not None
     if name == "fig9_star6":
@@ -137,13 +152,9 @@ def test_keys_off_one_class_read_every_slot():
     )
     key = CacheKey(graph, ("R",), ("S", "T"))
     assert key._probe_slot is None and key._entry_slot is None
-    composite = (
-        CompositeTuple.of("R", Row(0, (1, 2)))
-        .extended("S", Row(1, (1, 7)))
-        .extended("T", Row(2, (2, 7)))
-    )
-    assert key.probe_value(composite) == (1, 2)
-    assert key.entry_key(composite) == (1, 2)
+    r, s, t = Row(0, (1, 2)), Row(1, (1, 7)), Row(2, (2, 7))
+    assert key.probe_value((r,)) == (1, 2)
+    assert key.entry_key((s, t)) == (1, 2)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro.operators.join_op import JoinOperator
 from repro.relations.predicates import JoinGraph
 from repro.relations.relation import Relation
 from repro.streams.events import canonical_delta
-from repro.streams.tuples import CompositeTuple, RowFactory, Schema
+from repro.streams.tuples import CompositeTuple, RowFactory, Schema, layout_of
 from repro.streams.workloads import star_graph, three_way_chain
 
 
@@ -18,6 +18,12 @@ def chain_graph():
         [Schema("R", ("A",)), Schema("S", ("A", "B")), Schema("T", ("B",))],
         ["R.A = S.A", "S.B = T.B"],
     )
+
+
+def named(op, outputs):
+    """Read an operator's positional outputs by relation name."""
+    layout = layout_of(op.prior + (op.target,))
+    return [CompositeTuple(layout, rows) for rows in outputs]
 
 
 @pytest.fixture
@@ -38,8 +44,8 @@ class TestIndexedJoin:
         relation.insert(rows.make((1, 11)))
         relation.insert(rows.make((2, 12)))
         op = JoinOperator(graph, prior=["R"], target="S").bind(relation)
-        composite = CompositeTuple.of("R", rows.make((1,)))
-        out = op.apply([composite], ctx)
+        composite = (rows.make((1,)),)
+        out = named(op, op.apply([composite], ctx))
         assert len(out) == 2
         assert all(o.value("S", 0) == 1 for o in out)
         assert ctx.clock.now_us > 0  # probes were charged
@@ -48,7 +54,7 @@ class TestIndexedJoin:
         graph = chain_graph()
         op = JoinOperator(graph, prior=["R"], target="S")
         with pytest.raises(PlanError, match="unbound"):
-            op.apply([CompositeTuple.of("R", rows.make((1,)))], ctx)
+            op.apply([(rows.make((1,)),)], ctx)
 
     def test_bind_wrong_relation(self, rows):
         graph = chain_graph()
@@ -69,9 +75,9 @@ class TestIndexedJoin:
         op = JoinOperator(graph, prior=["R"], target="T").bind(relation)
         assert op.predicate_count == 2
         assert len(op.probe_plan().residuals) == 1
-        out = op.apply([CompositeTuple.of("R", rows.make((5, 7)))], ctx)
+        out = named(op, op.apply([(rows.make((5, 7)),)], ctx))
         assert [o.row("T").values for o in out] == [(5, 7)]
-        assert op.apply([CompositeTuple.of("R", rows.make((5, 9)))], ctx) == []
+        assert op.apply([(rows.make((5, 9)),)], ctx) == []
 
     def test_two_target_attributes_in_one_class_both_checked(self, ctx, rows):
         # R.A = T.A and R.A = T.B put T.A and T.B in one equivalence class;
@@ -86,7 +92,7 @@ class TestIndexedJoin:
         relation.insert(rows.make((5, 6)))
         relation.insert(rows.make((6, 5)))
         op = JoinOperator(graph, prior=["R"], target="T").bind(relation)
-        out = op.apply([CompositeTuple.of("R", rows.make((5,)))], ctx)
+        out = named(op, op.apply([(rows.make((5,)),)], ctx))
         assert [o.row("T").values for o in out] == [(5, 5)]
 
     def test_two_prior_attributes_of_one_relation_both_checked(
@@ -103,9 +109,9 @@ class TestIndexedJoin:
         relation.insert(rows.make((5,)))
         op = JoinOperator(graph, prior=["T"], target="R").bind(relation)
         assert len(op.probe_plan().residuals) == 1
-        assert len(op.apply([CompositeTuple.of("T", rows.make((5, 5)))], ctx)) == 1
-        assert op.apply([CompositeTuple.of("T", rows.make((5, 6)))], ctx) == []
-        assert op.apply([CompositeTuple.of("T", rows.make((6, 5)))], ctx) == []
+        assert len(op.apply([(rows.make((5, 5)),)], ctx)) == 1
+        assert op.apply([(rows.make((5, 6)),)], ctx) == []
+        assert op.apply([(rows.make((6, 5)),)], ctx) == []
 
     def test_star_plan_collapses_residuals_but_charges_all(self, ctx, rows):
         # Star graph: joining R3 to prior {R1, R2} has two predicates, both
@@ -125,9 +131,7 @@ class TestIndexedJoin:
         assert plan.index_attribute == "A"
         assert plan.residuals == ()
         assert plan.charged == 1
-        composite = CompositeTuple.of("R1", rows.make((5,))).extended(
-            "R2", rows.make((5,))
-        )
+        composite = (rows.make((5,)), rows.make((5,)))  # (R1, R2)
         assert len(op.apply([composite], ctx)) == 2
         cm = ctx.cost_model
         assert ctx.clock.now_us == (
@@ -142,7 +146,7 @@ class TestScanJoin:
         relation.insert(rows.make((1, 10)))
         relation.insert(rows.make((2, 11)))
         op = JoinOperator(graph, prior=["R"], target="S").bind(relation)
-        composite = CompositeTuple.of("R", rows.make((1,)))
+        composite = (rows.make((1,)),)
         out = op.apply([composite], ctx)
         assert len(out) == 1
 
@@ -154,7 +158,7 @@ class TestScanJoin:
             small.insert(rows.make((99, i)))
         for i in range(1000):
             large.insert(rows.make((99, i)))
-        probe = CompositeTuple.of("R", rows.make((1,)))
+        probe = (rows.make((1,)),)
         ctx_small, ctx_large = ExecContext(), ExecContext()
         JoinOperator(graph, ["R"], "S").bind(small).apply(
             [probe], ctx_small
@@ -172,7 +176,7 @@ class TestScanJoin:
         # R and T share no predicate: the join degenerates to a product.
         op = JoinOperator(graph, prior=["R"], target="T").bind(relation)
         assert op.is_cross_product()
-        out = op.apply([CompositeTuple.of("R", rows.make((1,)))], ctx)
+        out = op.apply([(rows.make((1,)),)], ctx)
         assert len(out) == 2
 
     def test_match_rows_counts_without_extending(self, ctx, rows):
@@ -180,7 +184,7 @@ class TestScanJoin:
         relation = Relation(graph.schemas["S"], ("A",))
         relation.insert(rows.make((1, 10)))
         op = JoinOperator(graph, prior=["R"], target="S").bind(relation)
-        matches = op.match_rows(CompositeTuple.of("R", rows.make((1,))), ctx)
+        matches = op.match_rows((rows.make((1,)),), ctx)
         assert len(matches) == 1
         assert matches[0].values == (1, 10)
 
@@ -194,12 +198,12 @@ class TestIndexSetEpoch:
         for values in ((1, 10), (1, 11), (2, 12)):
             relation.insert(rows.make(values))
         op = JoinOperator(graph, prior=["R"], target="S").bind(relation)
-        probe = CompositeTuple.of("R", rows.make((1,)))
+        probe = (rows.make((1,)),)
         cm = ExecContext().cost_model
 
         def run():
             ctx = ExecContext()
-            out = op.apply([probe], ctx)
+            out = named(op, op.apply([probe], ctx))
             return sorted(o.row("S").rid for o in out), ctx.clock.now_us
 
         probed = cm.index_probe + cm.per_match * 2

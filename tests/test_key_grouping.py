@@ -37,7 +37,7 @@ from repro.relations.predicates import JoinGraph
 from repro.relations.relation import Relation
 from repro.scenarios.library import SCENARIOS, build_scenario_workload
 from repro.streams.events import DeltaBatch, Sign
-from repro.streams.tuples import CompositeTuple, RowFactory, Schema
+from repro.streams.tuples import RowFactory, Schema, layout_map
 from repro.streams.workloads import fig9_workload, star_graph
 from tests.test_probe_plan_properties import _eager_tuning, join_cases
 
@@ -62,6 +62,11 @@ def _ctx() -> ExecContext:
 
 # Few distinct values, so keys repeat.
 small_values = st.integers(0, 2)
+
+
+def _read_slots(composite, slots):
+    """The values at ``(row, position)`` slots of a positional composite."""
+    return tuple(composite[i].values[p] for i, p in slots)
 
 
 # ----------------------------------------------------------------------
@@ -114,21 +119,17 @@ def _rows_of(graph, relation, factory, draw):
 
 
 def _draw_composites(graph, operator, factory, draw, min_size=2):
-    """Composites over the operator's prior relations; few distinct
-    values, so keys repeat, and some composites are reused."""
+    """Composites laid out as the operator's prior relations; few
+    distinct values, so keys repeat, and some composites are reused."""
     composites = []
     for _ in range(draw(st.integers(min_size, 10))):
         if composites and draw(st.booleans()):
             composites.append(draw(st.sampled_from(composites)))
             continue
-        composite = None
-        for relation in operator.prior:
-            row = _rows_of(graph, relation, factory, draw)
-            composite = (
-                CompositeTuple.of(relation, row) if composite is None
-                else composite.extended(relation, row)
-            )
-        composites.append(composite)
+        composites.append(tuple(
+            _rows_of(graph, relation, factory, draw)
+            for relation in operator.prior
+        ))
     return composites
 
 
@@ -170,9 +171,10 @@ def test_grouped_join_equals_one_at_a_time(name, data, monkeypatch):
         assert grouped_reads == 0
     else:
         signatures = {
-            composite.values_at(
-                [(plan.probe_relation, plan.probe_position)]
-                + [(r, p) for _, r, p in plan.residuals]
+            _read_slots(
+                composite,
+                [(plan.probe_index, plan.probe_position)]
+                + [(i, p) for _, i, p in plan.residuals],
             )
             for composite in composites
         }
@@ -188,8 +190,8 @@ def test_star_fan_out_reads_the_index_once(monkeypatch):
     for value in (5, 5, 5, 6):
         relation.insert(factory.make((value,)))
     operator = JoinOperator(graph, ("R1", "R2"), "R3").bind(relation)
-    r1 = CompositeTuple.of("R1", factory.make((5,)))
-    composites = [r1.extended("R2", factory.make((5,))) for _ in range(4)]
+    r1 = factory.make((5,))
+    composites = [(r1, factory.make((5,))) for _ in range(4)]
     reads = []
     matching = Relation.matching
     monkeypatch.setattr(
@@ -235,13 +237,22 @@ def _global_cache(graph, lru):
     )
 
 
+# The tap composites below are laid out as (S, T, R); the tap projects
+# them onto the cache's layout.
+FULL = ("S", "T", "R")
+
+
 def _full(factory, a, b):
-    """A tap composite binding S, T and R (projected on a stored insert)."""
+    """A tap composite binding S, T and R."""
     return (
-        CompositeTuple.of("S", factory.make((a, b)))
-        .extended("T", factory.make((b,)))
-        .extended("R", factory.make((a,)))
+        factory.make((a, b)), factory.make((b,)), factory.make((a,))
     )
+
+
+def _tap(cache, owner):
+    tap = CacheUpdate(cache, 0, owner)
+    tap.bind_layout(FULL)
+    return tap
 
 
 def _contents(cache):
@@ -259,8 +270,8 @@ def _maintain_both(make, entries, composites, sign, owner):
         for key, composites_at in entries:
             cache.create(key, composites_at)
     grouped_ctx, alone_ctx = _ctx(), _ctx()
-    CacheUpdate(caches[0], 0, owner).apply(composites, sign, grouped_ctx)
-    alone_tap = CacheUpdate(caches[1], 0, owner)
+    _tap(caches[0], owner).apply(composites, sign, grouped_ctx)
+    alone_tap = _tap(caches[1], owner)
     for composite in composites:
         alone_tap.apply([composite], sign, alone_ctx)
     return (grouped_ctx, caches[0]), (alone_ctx, caches[1])
@@ -301,6 +312,7 @@ def test_grouped_maintenance_equals_one_at_a_time(
             return _global_cache(graph, lru)
 
     entry_key = make(_chain_graph()).key.entry_key
+    project = layout_map(FULL, segment)
     # Few distinct values, so keys repeat, often in runs; some composites
     # come twice (a second delete of one identity finds it gone).
     composites = []
@@ -312,13 +324,13 @@ def test_grouped_maintenance_equals_one_at_a_time(
             composites.append(_full(factory, a, b))
     # Entries for some of the keys, holding some of the deltas already.
     entries = []
-    for key in sorted({entry_key(c) for c in composites}):
+    for key in sorted({entry_key(project(c)) for c in composites}):
         if data.draw(st.booleans()):
             held = {
-                c.identity(segment): c.project(segment) for c in composites
-                if entry_key(c) == key and data.draw(st.booleans())
+                project(c): None for c in composites
+                if entry_key(project(c)) == key and data.draw(st.booleans())
             }
-            entries.append((key, list(held.values())))
+            entries.append((key, list(held)))
     grouped, alone = _maintain_both(make, entries, composites, sign, owner)
     _assert_same(grouped, alone)
 
@@ -333,7 +345,7 @@ def test_anchor_delete_inside_a_same_key_run():
         _full(factory, 3, 0),
         _full(factory, 2, 0),
     ]
-    entries = [((1,), []), ((2,), [composites[1].project(("S", "T"))])]
+    entries = [((1,), []), ((2,), [composites[1][:2]])]  # its (S, T)
     grouped, alone = _maintain_both(
         lambda graph: _global_cache(graph, False),
         entries, composites, Sign.DELETE, "R",
@@ -362,10 +374,10 @@ def test_micro_batch_checks_each_distinct_key_once():
         _full(factory, 2, 2),
     ]
     cache.create((1,), [])
-    cache.create((2,), [composites[1].project(("S", "T"))])
+    cache.create((2,), [composites[1][:2]])  # its (S, T)
     ctx = _ctx()
     ctx.probe_memo = BatchProbeMemo()
-    CacheUpdate(cache, 0, "R").apply(composites, Sign.DELETE, ctx)
+    _tap(cache, "R").apply(composites, Sign.DELETE, ctx)
     check, maintain = ctx.cost_model.cache_maintain_check, (
         ctx.cost_model.cache_maintain
     )
@@ -380,8 +392,11 @@ def test_micro_batch_checks_each_distinct_key_once():
 def _sorted_signature(operator, composite):
     """The signature as it was built before it was precomputed."""
     return tuple(sorted([
-        (b.target_position, composite.value(b.prior_relation,
-                                            b.prior_position))
+        (
+            b.target_position,
+            composite[operator.prior.index(b.prior_relation)]
+            .values[b.prior_position],
+        )
         for b in operator._bound
     ]))
 
@@ -472,7 +487,7 @@ def _memo_loop(operator, composites, ctx):
             matches = operator._matches(composite, plan, cm, charge)
             memo.put(target, signature, matches)
         charge(cm.per_match * len(matches))
-        outputs += composite.extended_each(target, matches)
+        outputs += [composite + (row,) for row in matches]
     return outputs
 
 
@@ -497,7 +512,8 @@ def _holds_invariant(graph, relations, composite):
         for pred in graph.predicates_between(relations[:i], target):
             sides = (pred.side_for(target), pred.other_side(target))
             left, right = (
-                composite.value(ref.relation, graph.attr_position(ref))
+                composite[relations.index(ref.relation)]
+                .values[graph.attr_position(ref)]
                 for ref in sides
             )
             if left != right:
@@ -543,7 +559,7 @@ def _assert_grouped_memo_equals_loop(operator, composites, memo, cost_model):
     )
     slots = operator.probe_plan().slots
     assert grouped_ctx.probe_memo.reads == len(
-        {composite.values_at(slots) for composite in composites}
+        {_read_slots(composite, slots) for composite in composites}
     )
 
 
@@ -585,9 +601,7 @@ def test_memo_read_once_per_group_and_empty_sets_hit():
     operator = JoinOperator(graph, ("R1", "R2"), "R3").bind(relation)
 
     def composite(value):
-        return CompositeTuple.of("R1", factory.make((value,))).extended(
-            "R2", factory.make((value,))
-        )
+        return (factory.make((value,)), factory.make((value,)))
 
     memo = BatchProbeMemo()
     ctx = ExecContext(clock=RecordingClock(), probe_memo=memo)

@@ -26,6 +26,11 @@ def make_cache(graph):
     return Cache("c", "T", ("S", "R"), key, buckets=64)
 
 
+def tap_cache(graph, prefix, segment):
+    """A cache a tap at a slot laid out as ``segment`` can maintain."""
+    return Cache("t", prefix[0], segment, CacheKey(graph, prefix, segment))
+
+
 class TestPlumbingValidation:
     def test_overlapping_lookups_rejected(self):
         workload, executor = setup_executor()
@@ -46,10 +51,11 @@ class TestPlumbingValidation:
         cache = make_cache(workload.graph)
         pipeline = executor.pipelines["T"]
         pipeline.attach_lookup(CacheLookup(cache, 0, 1))
+        tapped = tap_cache(workload.graph, ("R",), ("T", "S"))
         with pytest.raises(PlanError, match="prefix invariant"):
-            pipeline.attach_update(CacheUpdate(cache, 1, "T"))
+            pipeline.attach_update(CacheUpdate(tapped, 1, "T"))
         pipeline.detach_lookup("c")
-        pipeline.attach_update(CacheUpdate(cache, 1, "T"))
+        pipeline.attach_update(CacheUpdate(tapped, 1, "T"))
         with pytest.raises(PlanError, match="prefix invariant"):
             pipeline.attach_lookup(CacheLookup(cache, 0, 1))
 
@@ -57,7 +63,8 @@ class TestPlumbingValidation:
         workload, executor = setup_executor()
         cache = make_cache(workload.graph)
         pipeline = executor.pipelines["T"]
-        pipeline.attach_update(CacheUpdate(cache, 0, "T"))
+        tapped = tap_cache(workload.graph, ("S",), ("T",))
+        pipeline.attach_update(CacheUpdate(tapped, 0, "T"))
         pipeline.attach_lookup(CacheLookup(cache, 0, 1))  # start slot is ok
 
     def test_detach_missing_returns_false(self):

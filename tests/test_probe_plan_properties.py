@@ -101,8 +101,10 @@ def _bound_predicates_hold(graph, operator, composite, row):
     for pred in graph.predicates_between(operator.prior, operator.target):
         target_ref = pred.side_for(operator.target)
         prior_ref = pred.other_side(operator.target)
-        if row.values[graph.attr_position(target_ref)] != composite.value(
-            prior_ref.relation, graph.attr_position(prior_ref)
+        prior_row = composite[operator.prior.index(prior_ref.relation)]
+        if (
+            row.values[graph.attr_position(target_ref)]
+            != prior_row.values[graph.attr_position(prior_ref)]
         ):
             return False
     return True
@@ -138,7 +140,7 @@ def test_compiled_match_sets_equal_brute_force(case):
     live = Counter()
     for update in updates:
         pipeline = executor.pipelines[update.relation]
-        composites = [CompositeTuple.of(update.relation, update.row)]
+        composites = [(update.row,)]
         for operator in pipeline.operators:
             for composite in composites:
                 expected = {
@@ -152,7 +154,8 @@ def test_compiled_match_sets_equal_brute_force(case):
             composites = operator.apply(composites, executor.ctx)
         deltas = executor.process(update)
         assert sorted(_identity(graph, d.composite) for d in deltas) == sorted(
-            _identity(graph, c) for c in composites
+            _identity(graph, CompositeTuple(pipeline.layout, c))
+            for c in composites
         )
         for delta in deltas:
             live[_identity(graph, delta.composite)] += int(delta.sign)

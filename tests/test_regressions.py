@@ -16,7 +16,7 @@ from repro.mjoin.executor import MJoinExecutor
 from repro.parallel.shard import _memory_in_use
 from repro.relations.predicates import JoinGraph
 from repro.streams.events import Sign
-from repro.streams.tuples import CompositeTuple, RowFactory, Schema
+from repro.streams.tuples import RowFactory, Schema
 from repro.streams.workloads import (
     fig10_workload,
     fig12_workload,
@@ -43,11 +43,9 @@ class TestStoreAccountingRegression:
         rows = RowFactory()
         key = CacheKey(graph, ("T",), ("S", "R"))
         cache = Cache("c", "T", ("S", "R"), key, buckets=8)
-        probe = CompositeTuple.of("T", rows.make((7,)))
+        probe = (rows.make((7,)),)
         probe_key, _ = cache.probe(probe)
-        seg = CompositeTuple.of("S", rows.make((1, 7))).extended(
-            "R", rows.make((1,))
-        )
+        seg = (rows.make((1, 7)), rows.make((1,)))  # laid out as (S, R)
         for _ in range(50):
             cache.create(probe_key, [seg])
         single = cache.memory_bytes

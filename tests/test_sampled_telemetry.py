@@ -122,6 +122,9 @@ def test_served_engine_stays_within_the_sampled_budget():
             "q", {"workload": {"kind": "chain", "params": {}}},
             ServiceConfig(), loop, executor, executor, MetricsRegistry(),
         )
+        host.plan = loop.run_until_complete(
+            host.lane.add(host, host.workload)
+        )
     finally:
         executor.shutdown()
         loop.close()

@@ -428,3 +428,80 @@ def test_kill_then_recover_preserves_every_acked_delta(tmp_path):
         _wait_processed(client2, "q", ack["seq_last"])
     finally:
         revived.stop()
+
+
+# ----------------------------------------------------------------------
+# Membership changes land between batches
+# ----------------------------------------------------------------------
+def _membership_run(wedge):
+    """Members a and c on a shared lane; three triples through a; b is
+    registered and c deleted; two more triples. With ``wedge`` the
+    registration and the DELETE are sent while the engine executor is
+    stopped inside the third triple's batch; without it they are sent
+    after that batch. Returns a's and b's ``/results`` entries."""
+    thread = ServiceThread(ServiceConfig(
+        shared_engine=True, tenant_rate=1e9, tenant_burst=1e9,
+    ))
+    thread.start()
+    release = threading.Event()
+    try:
+        client = ServiceClient(thread.base_url)
+        client.register("a", CHAIN)
+        client.register("c", CHAIN)
+        for value in (1, 2):
+            assert client.ingest("a", _triple(value))[0] == 202
+        _wait_processed(client, "a", 5)
+
+        service = thread.service
+        lane = service._shared_lane
+        entered = threading.Event()
+        process = lane.multi.process
+
+        def wedged(update):
+            # Inside the batch of seqs 6..8, between its first two updates.
+            if wedge and update.seq == 7:
+                entered.set()
+                release.wait(20)
+            return process(update)
+
+        lane.multi.process = wedged
+        assert client.ingest("a", _triple(3))[0] == 202
+        if wedge:
+            assert entered.wait(20)
+        else:
+            _wait_processed(client, "a", 8)
+
+        def change_membership():
+            other = ServiceClient(thread.base_url)
+            other.register("b", CHAIN)
+            other.unregister("c")
+
+        changer = threading.Thread(target=change_membership)
+        changer.start()
+        if wedge:
+            # The registration is either done (it did not wait for the
+            # batch) or queued behind the batch on the engine executor.
+            queued = service._engine_exec._work_queue
+            assert _wait(lambda: not changer.is_alive() or queued.qsize())
+            release.set()
+        changer.join(30)
+        assert not changer.is_alive()
+        for value in (4, 5):
+            assert client.ingest("a", _triple(value))[0] == 202
+        _wait_processed(client, "a", 14)
+        assert "c" not in service.hosts
+        return [
+            client.results(name, limit=100)["entries"] for name in ("a", "b")
+        ]
+    finally:
+        release.set()
+        thread.stop()
+
+
+def test_register_and_delete_land_between_batches():
+    """A registration and a DELETE sent while a batch is mid-way through
+    the shared engine take effect after that batch: every member's
+    ``/results`` equal a run where they were sent between the batches."""
+    between = _membership_run(wedge=False)
+    assert [e["seq"] for e in between[1]] == list(range(9, 15))
+    assert _membership_run(wedge=True) == between

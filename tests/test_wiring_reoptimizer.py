@@ -126,10 +126,7 @@ class TestWiring:
         r1 = rows.make((5,))
         r2 = rows.make((5,))
         executor.relations["R"].insert(r1)
-        probe_key = wired.lookup.key.probe_value(
-            __import__("repro.streams.tuples", fromlist=["CompositeTuple"])
-            .CompositeTuple.of("R", r1)
-        )
+        probe_key = wired.lookup.key.probe_value((r1,))
         assert counter(probe_key) == 1
         executor.relations["R"].insert(r2)
         assert counter(probe_key) == 2
