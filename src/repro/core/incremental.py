@@ -20,15 +20,15 @@ improvements, both implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.core import cost_model
 from repro.core.candidates import CandidateCache
 from repro.core.profiler import Profiler
 from repro.core.reoptimizer import (
-    CandidateState,
     Reoptimizer,
     ReoptimizerConfig,
+    drifted,
+    signatures,
 )
 from repro.mjoin.executor import MJoinExecutor
 
@@ -96,25 +96,19 @@ class IncrementalReoptimizer(Reoptimizer):
             return super().reoptimize(force=True)
 
         cm = self.executor.ctx.cost_model
-        for candidate_id, wired in self.wiring.wired.items():
-            self.profiler.harvest_used_cache(candidate_id, wired.cache)
-        stats = {}
-        for candidate_id, candidate in self.candidates.items():
-            estimate = self.profiler.statistics_for(candidate)
-            if estimate is not None:
-                stats[candidate_id] = estimate
+        stats = self._estimate()
         if not stats:
-            self._resume_all_suspended()
-            return self._currently_used()
+            return self._keep_plan()
 
-        signature = {
-            cid: (cost_model.benefit(s, cm), cost_model.cost(s, cm))
-            for cid, s in stats.items()
-        }
-        triggering = self._triggering_candidates(signature)
+        signature = signatures(stats, cm)
+        # Candidates whose drift exceeds their personal threshold.
+        triggering = set(
+            drifted(
+                signature, self._last_signature, self.importance.threshold_for
+            )
+        )
         if not triggering:
-            self._resume_all_suspended()
-            return self._currently_used()
+            return self._keep_plan()
         self._last_signature = signature
         self.executor.ctx.metrics.reoptimizations += 1
         self.executor.ctx.clock.charge(
@@ -124,45 +118,20 @@ class IncrementalReoptimizer(Reoptimizer):
         self.incremental_rounds += 1
 
         nets = {
-            cid: cost_model.benefit(stats[cid], cm)
-            - cost_model.cost(stats[cid], cm)
-            for cid in stats
+            cid: benefit - cost for cid, (benefit, cost) in signature.items()
         }
-        previous = {c.candidate_id for c in self._currently_used()}
+        previous = {c.candidate_id for c in self.wiring.used_candidates()}
         target = self._local_moves(previous, triggering, nets)
         admitted = self._allocate_memory(
             [self.candidates[cid] for cid in target if cid in self.candidates],
             stats,
             cm,
         )
-        self._apply(admitted)
-        selection_changed = {
-            c.candidate_id for c in admitted
-        } != previous
-        self.importance.record(triggering, selection_changed)
+        added, dropped = self._apply(admitted)
+        self.importance.record(triggering, bool(added or dropped))
         return admitted
 
     # ------------------------------------------------------------------
-    def _triggering_candidates(
-        self, signature: Dict[str, Tuple[float, float]]
-    ) -> Set[str]:
-        """Candidates whose drift exceeds their personal threshold."""
-        if not self._last_signature:
-            return set(signature)
-        triggering: Set[str] = set()
-        for candidate_id, (new_benefit, new_cost) in signature.items():
-            old = self._last_signature.get(candidate_id)
-            if old is None:
-                triggering.add(candidate_id)
-                continue
-            threshold = self.importance.threshold_for(candidate_id)
-            for new, previous in ((new_benefit, old[0]), (new_cost, old[1])):
-                scale = max(abs(previous), 1e-9)
-                if abs(new - previous) / scale > threshold:
-                    triggering.add(candidate_id)
-                    break
-        return triggering
-
     def _local_moves(
         self,
         current: Set[str],

@@ -21,6 +21,13 @@ b. **keep warm while profiling** — a used cache is moved to the profiled
 c. **change threshold** — the offline algorithm runs only when some
    benefit or cost drifted by ≥ ``p`` (default 20%) since the last
    selection.
+
+The decision itself — drift gate, selection problem, §5 admission and
+bucket sizing — is the module-level functions below; together with
+:func:`repro.core.profiler.estimate_candidates` they are shared by
+:class:`Reoptimizer`, the §8 :class:`~repro.core.incremental.
+IncrementalReoptimizer` and the shard coordinator
+(:class:`repro.parallel.adaptivity.EpochCoordinator`).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core import cost_model
 from repro.obs import decisions as decisions_log
@@ -38,7 +45,7 @@ from repro.core.candidates import (
     shared_groups,
 )
 from repro.core.memory import CacheDemand, MemoryAllocator
-from repro.core.profiler import Profiler
+from repro.core.profiler import Profiler, estimate_candidates
 from repro.core.selection import SelectionProblem, select
 from repro.core.wiring import CacheWiring
 from repro.mjoin.executor import MJoinExecutor
@@ -66,7 +73,197 @@ class ReoptimizerConfig:
     min_bucket_count: int = 64
     max_bucket_count: int = 65536
     memory_budget_bytes: Optional[int] = None
-    entry_horizon_seconds: float = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the §4.5/§5 decision
+# ---------------------------------------------------------------------------
+#: candidate_id -> (benefit, cost), what the drift gate compares.
+Signature = Dict[str, Tuple[float, float]]
+
+
+def candidates_under(
+    graph, orders, config: ReoptimizerConfig
+) -> Dict[str, CandidateCache]:
+    """Step 1: the candidate caches of pipelines ordered as ``orders``."""
+    return {
+        c.candidate_id: c
+        for c in enumerate_candidates(
+            graph, orders, global_quota=config.global_quota
+        )
+    }
+
+
+def estimate_fields(
+    stats: Optional[cost_model.CacheStatistics], cm
+) -> Dict[str, object]:
+    """A decision record's ``stats``/``benefit``/``cost`` fields."""
+    if stats is None:
+        return {"stats": None, "benefit": None, "cost": None}
+    return {
+        "stats": stats,
+        "benefit": cost_model.benefit(stats, cm),
+        "cost": cost_model.cost(stats, cm),
+    }
+
+
+def signatures(
+    stats: Mapping[str, cost_model.CacheStatistics], cm
+) -> Signature:
+    """Each estimated candidate's (benefit, cost)."""
+    return {
+        cid: (cost_model.benefit(s, cm), cost_model.cost(s, cm))
+        for cid, s in stats.items()
+    }
+
+
+def drifted(
+    signature: Signature,
+    last: Signature,
+    threshold: Union[float, Callable[[str], float]],
+) -> List[str]:
+    """Improvement (c): the candidates whose benefit or cost moved by
+    more than ``threshold`` (a float, or a per-candidate callable)
+    relative to ``last``; a candidate with no history in ``last`` counts
+    as drifted."""
+    threshold_for = (
+        threshold if callable(threshold) else (lambda _cid: threshold)
+    )
+    moved = []
+    for candidate_id, (new_benefit, new_cost) in signature.items():
+        old = last.get(candidate_id)
+        if old is None:
+            moved.append(candidate_id)
+            continue
+        limit = threshold_for(candidate_id)
+        for new, previous in ((new_benefit, old[0]), (new_cost, old[1])):
+            scale = max(abs(previous), 1e-9)
+            if abs(new - previous) / scale > limit:
+                moved.append(candidate_id)
+                break
+    return moved
+
+
+def build_problem(
+    candidates: Mapping[str, CandidateCache],
+    stats: Mapping[str, cost_model.CacheStatistics],
+    profiles: Mapping,
+    cm,
+) -> SelectionProblem:
+    """The §4.4 selection problem over the estimated candidates, with
+    every pipeline operator's ``d·c`` from ``profiles``."""
+    live = [candidates[cid] for cid in stats]
+    return SelectionProblem(
+        candidates=live,
+        benefit={cid: cost_model.benefit(stats[cid], cm) for cid in stats},
+        proc={cid: cost_model.proc(stats[cid], cm) for cid in stats},
+        # All members of a group share one maintenance stream; any
+        # member's estimate identifies it.
+        group_cost={
+            token: cost_model.cost(stats[members[0].candidate_id], cm)
+            for token, members in shared_groups(live).items()
+        },
+        operator_cost={
+            (owner, slot): profile.d(slot) * profile.c(slot)
+            for owner, profile in profiles.items()
+            for slot in range(profile.slots)
+        },
+    )
+
+
+def admit(
+    selected: List[CandidateCache],
+    stats: Mapping[str, cost_model.CacheStatistics],
+    cm,
+    allocator: MemoryAllocator,
+    entries_of: Callable[[CandidateCache], float],
+) -> Tuple[
+    List[CandidateCache], List[Tuple[CandidateCache, CacheDemand]], int
+]:
+    """Section 5: admit the selection greedily by net benefit per byte.
+
+    One demand per share group (the members' summed benefit less one
+    maintenance cost, one store's expected bytes at ``entries_of`` its
+    representative). Returns the admitted candidates, every member of a
+    rejected group with that group's demand, and the pages committed.
+    """
+    if allocator.budget_bytes is None:
+        return selected, [], 0
+    demands = []
+    members_of: Dict[Tuple, List[CandidateCache]] = {}
+    for token, members in shared_groups(selected).items():
+        representative = members[0]
+        representative_stats = stats[representative.candidate_id]
+        net = sum(
+            cost_model.benefit(stats[c.candidate_id], cm) for c in members
+        ) - cost_model.cost(representative_stats, cm)
+        expected = cost_model.expected_memory_bytes(
+            representative_stats,
+            cm,
+            expected_entries=entries_of(representative),
+            segment_size=len(representative.segment),
+        )
+        demands.append(
+            CacheDemand(
+                candidate=representative,
+                net_benefit=net,
+                expected_bytes=expected,
+            )
+        )
+        members_of[token] = members
+    result = allocator.admit(demands)
+    rejected = [
+        (member, demand)
+        for verdict, demand in result.audit
+        if verdict == "reject"
+        for member in members_of[demand.candidate.share_token]
+    ]
+    admitted = [
+        member
+        for representative in result.admitted
+        for member in members_of[representative.share_token]
+    ]
+    return admitted, rejected, result.pages_used
+
+
+def bucket_count(entries: float, config: ReoptimizerConfig) -> int:
+    """Section 3.3: the power-of-two bucket count for a store expected
+    to hold ``entries`` entries, within the configured bounds."""
+    wanted = max(config.min_bucket_count, int(entries * 2))
+    return min(config.max_bucket_count, 1 << (wanted - 1).bit_length())
+
+
+def record_diff(
+    log,
+    now_us: float,
+    added: List[str],
+    dropped: List[str],
+    reasons: Tuple[str, str],
+    reopt_seq: int,
+    stats: Mapping[str, cost_model.CacheStatistics],
+    signature: Signature,
+    **fields,
+) -> None:
+    """Log an ATTACH per added and a DETACH per dropped candidate, with
+    ``reasons`` (attach, detach) and the candidate's estimates where
+    ``stats``/``signature`` have them."""
+    for action, reason, candidate_ids in (
+        (decisions_log.ATTACH, reasons[0], added),
+        (decisions_log.DETACH, reasons[1], dropped),
+    ):
+        for candidate_id in candidate_ids:
+            benefit, cost = signature.get(candidate_id, (None, None))
+            log.record(
+                now_us,
+                action,
+                candidate_id,
+                reason=reason,
+                reopt_seq=reopt_seq,
+                stats=stats.get(candidate_id),
+                benefit=benefit,
+                cost=cost,
+                **fields,
+            )
 
 
 class Reoptimizer:
@@ -113,14 +310,9 @@ class Reoptimizer:
     # ------------------------------------------------------------------
     def bootstrap(self) -> None:
         """Step 1: enumerate candidates; everything starts out profiled."""
-        self.candidates = {
-            c.candidate_id: c
-            for c in enumerate_candidates(
-                self.executor.graph,
-                self.executor.orders(),
-                global_quota=self.config.global_quota,
-            )
-        }
+        self.candidates = candidates_under(
+            self.executor.graph, self.executor.orders(), self.config
+        )
         self.states = {
             cid: CandidateState.PROFILED for cid in self.candidates
         }
@@ -133,14 +325,9 @@ class Reoptimizer:
         self.wiring.drop_touching(owner)
         self.profiler.rebuild_profiles(owner)
         previous = self.candidates
-        self.candidates = {
-            c.candidate_id: c
-            for c in enumerate_candidates(
-                self.executor.graph,
-                self.executor.orders(),
-                global_quota=self.config.global_quota,
-            )
-        }
+        self.candidates = candidates_under(
+            self.executor.graph, self.executor.orders(), self.config
+        )
         # Keep profiling history for candidates unaffected by the reorder;
         # candidates touching the reordered pipeline start over.
         for candidate_id in list(self.states):
@@ -171,12 +358,11 @@ class Reoptimizer:
         """The auditor detached a poisoned cache behind our back: return
         the candidate to the profiled pool (bloom reinstalled) so a later
         selection cycle may legitimately rebuild it."""
-        candidate = self.candidates.get(candidate_id)
-        if candidate is None:
-            return
-        if self.states.get(candidate_id) is CandidateState.USED:
-            self.states[candidate_id] = CandidateState.PROFILED
-            self.profiler.install_bloom(candidate)
+        if (
+            candidate_id in self.candidates
+            and self.states.get(candidate_id) is CandidateState.USED
+        ):
+            self._profile(candidate_id)
 
     def on_cache_rebuilt(self, candidate_id: str) -> None:
         """The auditor re-attached a quarantined candidate: mirror the
@@ -279,10 +465,7 @@ class Reoptimizer:
         # continuous monitor are reconsidered once conditions change.
         for candidate_id, state in self.states.items():
             if state is CandidateState.UNUSED:
-                self.states[candidate_id] = CandidateState.PROFILED
-                candidate = self.candidates.get(candidate_id)
-                if candidate is not None:
-                    self.profiler.install_bloom(candidate)
+                self._profile(candidate_id)
         shadowing = self._shadowing_used_caches()
         if shadowing:
             for candidate_id in shadowing:
@@ -332,9 +515,7 @@ class Reoptimizer:
                     candidate_id,
                     reason="continuous monitor: benefit - cost went negative",
                     reopt_seq=ctx.metrics.reoptimizations,
-                    stats=stats,
-                    benefit=cost_model.benefit(stats, ctx.cost_model),
-                    cost=cost_model.cost(stats, ctx.cost_model),
+                    **estimate_fields(stats, ctx.cost_model),
                     memory_used_bytes=self.wiring.memory_bytes(),
                     memory_budget_bytes=self.allocator.budget_bytes,
                 )
@@ -350,23 +531,10 @@ class Reoptimizer:
         cm = ctx.cost_model
         metrics = ctx.metrics
         obs = ctx.obs
-        stats: Dict[str, cost_model.CacheStatistics] = {}
-        for candidate_id, wired in self.wiring.wired.items():
-            self.profiler.harvest_used_cache(candidate_id, wired.cache)
-        for candidate_id, candidate in self.candidates.items():
-            estimate = self.profiler.statistics_for(candidate)
-            if estimate is not None:
-                stats[candidate_id] = estimate
+        stats = self._estimate()
         if not stats:
-            self._resume_all_suspended()
-            return self._currently_used()
-        signature = {
-            cid: (
-                cost_model.benefit(s, cm),
-                cost_model.cost(s, cm),
-            )
-            for cid, s in stats.items()
-        }
+            return self._keep_plan()
+        signature = signatures(stats, cm)
         if not force and not self._changed_significantly(signature):
             if obs.enabled:
                 obs.tracer.emit(
@@ -376,39 +544,45 @@ class Reoptimizer:
                     reason="below change threshold",
                     candidates_estimated=len(stats),
                     used=sorted(
-                        c.candidate_id for c in self._currently_used()
+                        c.candidate_id
+                        for c in self.wiring.used_candidates()
                     ),
                 )
-            self._resume_all_suspended()
-            return self._currently_used()
+            return self._keep_plan()
         self._last_signature = signature
         metrics.reoptimizations += 1
         reopt_seq = metrics.reoptimizations
         ctx.clock.charge(
             cm.reoptimize_base + cm.reoptimize_candidate * len(stats)
         )
-        problem = self._build_problem(stats, cm)
         selected = select(
-            problem,
+            build_problem(self.candidates, stats, self.profiler.profiles, cm),
             method=self.config.selection_method,
             exhaustive_limit=self.config.exhaustive_limit,
         )
         admitted = self._allocate_memory(selected, stats, cm, reopt_seq)
-        previously_used = {
-            c.candidate_id for c in self.wiring.used_candidates()
-        }
-        self._apply(admitted)
+        added, dropped = self._apply(admitted)
         self._record_selection(
-            stats, signature, admitted, previously_used, reopt_seq
+            stats, signature, admitted, added, dropped, reopt_seq
         )
         return admitted
+
+    def _estimate(self) -> Dict[str, cost_model.CacheStatistics]:
+        """Fold used caches' observed miss rates in, then estimate every
+        candidate that has the data."""
+        for candidate_id, wired in self.wiring.wired.items():
+            self.profiler.harvest_used_cache(candidate_id, wired.cache)
+        return estimate_candidates(
+            self.candidates, self.profiler.profiles, self.profiler.miss_prob
+        )
 
     def _record_selection(
         self,
         stats: Dict[str, cost_model.CacheStatistics],
-        signature: Dict[str, Tuple[float, float]],
+        signature: Signature,
         admitted: List[CandidateCache],
-        previously_used: set,
+        added: List[str],
+        dropped: List[str],
         reopt_seq: int,
     ) -> None:
         """Log one re-optimization's add/drop decisions and trace event."""
@@ -416,37 +590,18 @@ class Reoptimizer:
         now_us = ctx.clock.now_us
         memory_used = self.wiring.memory_bytes()
         budget = self.allocator.budget_bytes
-        target = {c.candidate_id for c in admitted}
-        added = sorted(target - previously_used)
-        dropped = sorted(previously_used - target)
-        for candidate_id in added:
-            benefit, cost = signature.get(candidate_id, (None, None))
-            ctx.obs.decisions.record(
-                now_us,
-                decisions_log.ATTACH,
-                candidate_id,
-                reason="selected by re-optimization",
-                reopt_seq=reopt_seq,
-                stats=stats.get(candidate_id),
-                benefit=benefit,
-                cost=cost,
-                memory_used_bytes=memory_used,
-                memory_budget_bytes=budget,
-            )
-        for candidate_id in dropped:
-            benefit, cost = signature.get(candidate_id, (None, None))
-            ctx.obs.decisions.record(
-                now_us,
-                decisions_log.DETACH,
-                candidate_id,
-                reason="deselected by re-optimization",
-                reopt_seq=reopt_seq,
-                stats=stats.get(candidate_id),
-                benefit=benefit,
-                cost=cost,
-                memory_used_bytes=memory_used,
-                memory_budget_bytes=budget,
-            )
+        record_diff(
+            ctx.obs.decisions,
+            now_us,
+            added,
+            dropped,
+            ("selected by re-optimization", "deselected by re-optimization"),
+            reopt_seq,
+            stats,
+            signature,
+            memory_used_bytes=memory_used,
+            memory_budget_bytes=budget,
+        )
         if ctx.obs.enabled:
             ctx.obs.tracer.emit(
                 "reoptimize",
@@ -454,62 +609,23 @@ class Reoptimizer:
                 applied=True,
                 reopt_seq=reopt_seq,
                 candidates_estimated=len(stats),
-                used=sorted(target),
+                used=sorted(c.candidate_id for c in admitted),
                 added=added,
                 dropped=dropped,
                 memory_used_bytes=memory_used,
                 memory_budget_bytes=budget,
             )
 
-    def _changed_significantly(
-        self, signature: Dict[str, Tuple[float, float]]
-    ) -> bool:
-        """Improvement (c): did any benefit/cost drift ≥ p since last time?"""
+    def _changed_significantly(self, signature: Signature) -> bool:
+        """Improvement (c): did any benefit/cost drift ≥ p since last time?
+        Candidates the continuous monitor dropped (unused) do not count."""
         if not self._last_signature:
             return True
-        threshold = self.config.change_threshold
-        for candidate_id, (new_benefit, new_cost) in signature.items():
-            state = self.states.get(candidate_id)
-            if state is CandidateState.UNUSED:
-                continue
-            old = self._last_signature.get(candidate_id)
-            if old is None:
-                return True
-            for new, previous in ((new_benefit, old[0]), (new_cost, old[1])):
-                scale = max(abs(previous), 1e-9)
-                if abs(new - previous) / scale > threshold:
-                    return True
-        return False
-
-    def _build_problem(
-        self, stats: Dict[str, cost_model.CacheStatistics], cm
-    ) -> SelectionProblem:
-        live = [
-            self.candidates[cid] for cid in stats if cid in self.candidates
-        ]
-        benefit = {
-            cid: cost_model.benefit(stats[cid], cm) for cid in stats
-        }
-        proc = {cid: cost_model.proc(stats[cid], cm) for cid in stats}
-        group_cost: Dict[Tuple, float] = {}
-        for token, members in shared_groups(live).items():
-            # All members of a group share one maintenance stream; any
-            # member's estimate identifies it.
-            group_cost[token] = cost_model.cost(
-                stats[members[0].candidate_id], cm
+        return any(
+            self.states.get(candidate_id) is not CandidateState.UNUSED
+            for candidate_id in drifted(
+                signature, self._last_signature, self.config.change_threshold
             )
-        operator_cost = {}
-        for owner, profile in self.profiler.profiles.items():
-            for slot in range(profile.slots):
-                operator_cost[(owner, slot)] = profile.d(slot) * profile.c(
-                    slot
-                )
-        return SelectionProblem(
-            candidates=live,
-            benefit=benefit,
-            proc=proc,
-            group_cost=group_cost,
-            operator_cost=operator_cost,
         )
 
     def _allocate_memory(
@@ -519,183 +635,131 @@ class Reoptimizer:
         cm,
         reopt_seq: int = 0,
     ) -> List[CandidateCache]:
-        """Section 5: admit the selection greedily by net benefit per byte."""
-        if self.allocator.budget_bytes is None:
-            return selected
-        groups = shared_groups(selected)
-        demands = []
-        members_of: Dict[Tuple, List[CandidateCache]] = {}
-        for token, members in groups.items():
-            net = sum(
-                cost_model.benefit(stats[c.candidate_id], cm)
-                for c in members
-            ) - cost_model.cost(stats[members[0].candidate_id], cm)
-            expected = self._expected_bytes(members[0], stats, cm)
-            demands.append(
-                CacheDemand(
-                    candidate=members[0],
-                    net_benefit=net,
-                    expected_bytes=expected,
-                )
-            )
-            members_of[token] = members
-        result = self.allocator.admit(demands)
+        """Section 5 admission (:func:`admit`), logging each rejection."""
+        admitted, rejected, pages_used = admit(
+            selected, stats, cm, self.allocator, self.profiler.expected_entries
+        )
         ctx = self.executor.ctx
-        for verdict, demand in result.audit:
-            if verdict != "reject":
-                continue
-            for member in members_of[demand.candidate.share_token]:
-                candidate_id = member.candidate_id
-                member_stats = stats.get(candidate_id)
-                ctx.obs.decisions.record(
-                    ctx.clock.now_us,
-                    decisions_log.MEMORY_REJECT,
-                    candidate_id,
-                    reason=(
-                        "selected but denied pages "
-                        f"({result.pages_used} pages already committed)"
-                    ),
-                    reopt_seq=reopt_seq,
-                    stats=member_stats,
-                    benefit=(
-                        cost_model.benefit(member_stats, cm)
-                        if member_stats is not None else None
-                    ),
-                    cost=(
-                        cost_model.cost(member_stats, cm)
-                        if member_stats is not None else None
-                    ),
-                    memory_used_bytes=self.wiring.memory_bytes(),
-                    memory_budget_bytes=self.allocator.budget_bytes,
-                    expected_bytes=demand.expected_bytes,
-                )
-        admitted: List[CandidateCache] = []
-        for representative in result.admitted:
-            admitted.extend(members_of[representative.share_token])
+        for member, demand in rejected:
+            ctx.obs.decisions.record(
+                ctx.clock.now_us,
+                decisions_log.MEMORY_REJECT,
+                member.candidate_id,
+                reason=(
+                    "selected but denied pages "
+                    f"({pages_used} pages already committed)"
+                ),
+                reopt_seq=reopt_seq,
+                **estimate_fields(stats.get(member.candidate_id), cm),
+                memory_used_bytes=self.wiring.memory_bytes(),
+                memory_budget_bytes=self.allocator.budget_bytes,
+                expected_bytes=demand.expected_bytes,
+            )
         return admitted
 
-    def _expected_bytes(self, candidate, stats, cm) -> float:
-        entries = self.profiler.expected_entries(
-            candidate, self.config.entry_horizon_seconds
-        )
-        return cost_model.expected_memory_bytes(
-            stats[candidate.candidate_id],
-            cm,
-            expected_entries=entries,
-            segment_size=len(candidate.segment),
-        )
-
-    def _apply(self, selected: List[CandidateCache]) -> None:
+    def _apply(
+        self,
+        selected: List[CandidateCache],
+        buckets: Optional[Mapping[str, int]] = None,
+    ) -> Tuple[List[str], List[str]]:
+        """Wire exactly ``selected``; returns the candidate ids added and
+        dropped, sorted. A newly attached store takes its bucket count
+        from ``buckets`` where that names it, else from the local
+        estimate."""
+        sizes = buckets or {}
         target = {c.candidate_id for c in selected}
-        for candidate_id in list(self.wiring.wired):
-            if candidate_id not in target:
-                self.wiring.detach(candidate_id)
-                self.states[candidate_id] = CandidateState.PROFILED
-                candidate = self.candidates.get(candidate_id)
-                if candidate is not None:
-                    self.profiler.install_bloom(candidate)
-        for candidate in selected:
-            if candidate.candidate_id in self.wiring.wired:
-                self.wiring.resume_lookup(candidate.candidate_id)
-            else:
-                self.wiring.attach(
-                    candidate, buckets=self._bucket_estimate(candidate)
-                )
-                self.profiler.remove_bloom(candidate.candidate_id)
-            self.states[candidate.candidate_id] = CandidateState.USED
-
-    def apply_plan(self, plan) -> None:
-        """Apply a coordinator-pushed :class:`~repro.parallel.adaptivity.
-        CachePlan`: wire exactly the plan's candidate set.
-
-        The cross-shard twin of :meth:`_apply`, driven by the merged
-        global statistics instead of local estimates. Candidates the
-        plan names that this shard does not know (its ordering diverged)
-        are skipped; bucket counts come from the plan's global entry
-        estimate, falling back to the local one. Idempotent — carried-
-        over plans re-apply as no-ops on the wiring.
-        """
-        ctx = self.executor.ctx
-        cm = ctx.cost_model
-        buckets = dict(plan.buckets)
-        target_ids = [
-            cid for cid in plan.candidate_ids if cid in self.candidates
-        ]
-        target = set(target_ids)
         previously_used = {
             c.candidate_id for c in self.wiring.used_candidates()
         }
-        ctx.metrics.reoptimizations += 1
-        reopt_seq = ctx.metrics.reoptimizations
-        ctx.clock.charge(cm.reoptimize_base)
-        self.profiler.reactivate_blooms()
         for candidate_id in list(self.wiring.wired):
             if candidate_id not in target:
-                self.wiring.detach(candidate_id)
-                self.states[candidate_id] = CandidateState.PROFILED
-                candidate = self.candidates.get(candidate_id)
-                if candidate is not None:
-                    self.profiler.install_bloom(candidate)
-        for candidate_id in target_ids:
-            candidate = self.candidates[candidate_id]
+                self._unwire(candidate_id)
+        for candidate in selected:
+            candidate_id = candidate.candidate_id
             if candidate_id in self.wiring.wired:
                 self.wiring.resume_lookup(candidate_id)
             else:
                 self.wiring.attach(
                     candidate,
-                    buckets=buckets.get(
+                    buckets=sizes.get(
                         candidate_id, self._bucket_estimate(candidate)
                     ),
                 )
                 self.profiler.remove_bloom(candidate_id)
             self.states[candidate_id] = CandidateState.USED
+        return (
+            sorted(target - previously_used),
+            sorted(previously_used - target),
+        )
+
+    def _unwire(self, candidate_id: str) -> None:
+        """Detach a wired cache and return its candidate to profiling."""
+        self.wiring.detach(candidate_id)
+        self._profile(candidate_id)
+
+    def _profile(self, candidate_id: str) -> None:
+        """Mark a candidate profiled and install its Bloom lookup."""
+        self.states[candidate_id] = CandidateState.PROFILED
+        candidate = self.candidates.get(candidate_id)
+        if candidate is not None:
+            self.profiler.install_bloom(candidate)
+
+    def apply_plan(self, plan) -> None:
+        """Apply a coordinator-pushed :class:`~repro.parallel.adaptivity.
+        CachePlan`: :meth:`_apply` the plan's candidate set, sized by the
+        plan's per-shard bucket counts.
+
+        Candidates the plan names that this shard does not know (its
+        ordering diverged) are skipped. Idempotent — carried-over plans
+        re-apply as no-ops on the wiring.
+        """
+        ctx = self.executor.ctx
+        target = [
+            self.candidates[cid]
+            for cid in plan.candidate_ids
+            if cid in self.candidates
+        ]
+        ctx.metrics.reoptimizations += 1
+        reopt_seq = ctx.metrics.reoptimizations
+        ctx.clock.charge(ctx.cost_model.reoptimize_base)
+        self.profiler.reactivate_blooms()
+        added, dropped = self._apply(target, dict(plan.buckets))
         now_us = ctx.clock.now_us
-        memory_used = self.wiring.memory_bytes()
-        for candidate_id in sorted(target - previously_used):
-            ctx.obs.decisions.record(
-                now_us,
-                decisions_log.ATTACH,
-                candidate_id,
-                reason=f"coordinator plan push (epoch {plan.epoch})",
-                reopt_seq=reopt_seq,
-                memory_used_bytes=memory_used,
-                memory_budget_bytes=self.allocator.budget_bytes,
-            )
-        for candidate_id in sorted(previously_used - target):
-            ctx.obs.decisions.record(
-                now_us,
-                decisions_log.DETACH,
-                candidate_id,
-                reason=f"coordinator plan push (epoch {plan.epoch})",
-                reopt_seq=reopt_seq,
-                memory_used_bytes=memory_used,
-                memory_budget_bytes=self.allocator.budget_bytes,
-            )
+        reason = f"coordinator plan push (epoch {plan.epoch})"
+        record_diff(
+            ctx.obs.decisions,
+            now_us,
+            added,
+            dropped,
+            (reason, reason),
+            reopt_seq,
+            {},
+            {},
+            memory_used_bytes=self.wiring.memory_bytes(),
+            memory_budget_bytes=self.allocator.budget_bytes,
+        )
         if ctx.obs.enabled:
             ctx.obs.tracer.emit(
                 "plan_push",
                 now_us,
                 epoch=plan.epoch,
                 applied=plan.applied,
-                used=sorted(target),
-                added=sorted(target - previously_used),
-                dropped=sorted(previously_used - target),
+                used=sorted(c.candidate_id for c in target),
+                added=added,
+                dropped=dropped,
             )
 
     def _bucket_estimate(self, candidate: CandidateCache) -> int:
         """Section 3.3: bucket count from the expected entry count."""
-        entries = self.profiler.expected_entries(
-            candidate, self.config.entry_horizon_seconds
+        return bucket_count(
+            self.profiler.expected_entries(candidate), self.config
         )
-        wanted = max(self.config.min_bucket_count, int(entries * 2))
-        return min(self.config.max_bucket_count, 1 << (wanted - 1).bit_length())
 
-    def _resume_all_suspended(self) -> None:
+    def _keep_plan(self) -> List[CandidateCache]:
+        """No new selection: resume suspended lookups, keep the wiring."""
         for candidate_id, wired in self.wiring.wired.items():
             if not wired.lookup_attached:
                 self.wiring.resume_lookup(candidate_id)
-
-    def _currently_used(self) -> List[CandidateCache]:
         return self.wiring.used_candidates()
 
     # ------------------------------------------------------------------
@@ -722,22 +786,12 @@ class Reoptimizer:
             candidate_id,
             reason=reason,
             reopt_seq=ctx.metrics.reoptimizations,
-            stats=stats,
-            benefit=(
-                cost_model.benefit(stats, cm) if stats is not None else None
-            ),
-            cost=(
-                cost_model.cost(stats, cm) if stats is not None else None
-            ),
+            **estimate_fields(stats, cm),
             memory_used_bytes=self.wiring.memory_bytes(),
             memory_budget_bytes=self.allocator.budget_bytes,
             expected_bytes=float(wired.cache.memory_bytes),
         )
-        self.wiring.detach(candidate_id)
-        self.states[candidate_id] = CandidateState.PROFILED
-        candidate = self.candidates.get(candidate_id)
-        if candidate is not None:
-            self.profiler.install_bloom(candidate)
+        self._unwire(candidate_id)
         return True
 
     def enforce_memory(self) -> List[str]:
@@ -781,22 +835,10 @@ class Reoptimizer:
                     f"budget {self.allocator.budget_bytes}"
                 ),
                 reopt_seq=ctx.metrics.reoptimizations,
-                stats=stats,
-                benefit=(
-                    cost_model.benefit(stats, cm)
-                    if stats is not None else None
-                ),
-                cost=(
-                    cost_model.cost(stats, cm)
-                    if stats is not None else None
-                ),
+                **estimate_fields(stats, cm),
                 memory_used_bytes=used_bytes,
                 memory_budget_bytes=self.allocator.budget_bytes,
                 expected_bytes=float(usage.get(candidate_id, 0)),
             )
-            self.wiring.detach(candidate_id)
-            self.states[candidate_id] = CandidateState.PROFILED
-            candidate = self.candidates.get(candidate_id)
-            if candidate is not None:
-                self.profiler.install_bloom(candidate)
+            self._unwire(candidate_id)
         return victims
