@@ -77,8 +77,8 @@ class DirectMappedStore:
         """Live-entry fraction of the bucket table (0.0–1.0).
 
         Cross-query shared stores concentrate several probe streams on one
-        table; the multi-query bench reports this to show sharing does not
-        thrash the direct-mapped replacement.
+        table; this shows whether sharing thrashes the direct-mapped
+        replacement.
         """
         return len(self._table) / self.buckets
 

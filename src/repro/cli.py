@@ -10,10 +10,7 @@
     python -m repro chaos fig12 --seed 11 --faults duplicate_prob=0.02
     python -m repro chaos demo --crash torn_tail --cache-mode rebuild
     python -m repro recover /tmp/crashed-journal
-    python -m repro bench --shards 1,2,4 --out BENCH_parallel.json
-    python -m repro bench --batch-sizes 1,4,16,64
-    python -m repro bench --recovery --fsync-every 64
-    python -m repro bench --wall --out BENCH_wall.json
+    python -m repro serve --port 8734 --wal-root /tmp/journals
     python -m repro profile fig9-6way --arrivals 2000 --flame f.txt
     python -m repro profile fig9-6way --shards 4 --prometheus m.prom
 
@@ -23,13 +20,10 @@ benchmark suite's.
 Parallelism: ``--shards N`` hash-partitions the update streams and runs
 one full pipeline per shard (``--parallel-backend process`` uses one OS
 process per shard; the default ``serial`` backend runs shards in-process
-with identical results). ``bench`` measures serial-vs-sharded throughput
-and writes the BENCH_parallel.json baseline (see docs/parallelism.md).
+with identical results; see docs/parallelism.md).
 
-Micro-batching: ``bench --batch-sizes N,...`` (or ``--batch-size N``,
-sugar for ``1,N``) measures per-update vs batched execution and writes
-the BENCH_batching.json baseline; ``chaos --batch-size N`` drives the
-chaos harness batched (see docs/api.md).
+Micro-batching: ``chaos --batch-size N`` and ``profile --batch-size N``
+drive their runs in micro-batches of N updates (see docs/api.md).
 
 Observability: ``trace`` runs one experiment with the structured tracer
 enabled and prints an event summary; ``--obs-jsonl PATH`` on ``figure``,
@@ -40,9 +34,8 @@ Profiling: ``profile EXP`` runs one experiment with the dual-clock span
 profiler on and prints a wall-time hotspot table; ``--flame`` writes
 folded stacks for flamegraphs, ``--pstats`` a pstats-loadable dump, and
 ``--shards N`` merges per-worker telemetry under ``shard`` labels.
-``bench --wall`` measures serial vs batched vs sharded wall throughput
-plus the profiler's own overhead and writes the BENCH_wall.json baseline
-that ``benchmarks/check_wall_regression.py`` gates against.
+Wall-clock throughput and latency are measured by the benchmark ledger
+(``benchmarks/ledger/run.py``), not by this CLI.
 """
 
 from __future__ import annotations
@@ -50,18 +43,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.bench import figures
-from repro.bench.harness import ExperimentRow, format_rows
+from repro.bench.harness import format_rows
 from repro.errors import CLIError, ReproError
 from repro.obs.export import (
     observability_to_jsonl,
     registry_to_prometheus,
     write_jsonl,
 )
-from repro.parallel.engine import BACKENDS, ParallelConfig
+from repro.parallel.engine import ParallelConfig
 
 FIGURES: Dict[str, str] = {
     "fig6": "varying cache hit probability (T.B multiplicity 1-10)",
@@ -193,9 +186,6 @@ def cmd_list(_args: argparse.Namespace) -> str:
     lines.append("  chaos EXP         run an experiment under fault injection")
     lines.append("  chaos EXP --crash kill a journaled run, recover, verify")
     lines.append("  recover DIR       restore a crashed --crash journal")
-    lines.append("  bench             serial-vs-sharded throughput benchmark")
-    lines.append("  bench --wall      wall-clock + profiler-overhead benchmark")
-    lines.append("  bench --multi     shared-engine vs isolated multi-query hosting")
     lines.append(
         "  profile EXP       span-profile one experiment "
         f"({', '.join(sorted(PROFILE_EXPERIMENTS))})"
@@ -320,7 +310,7 @@ def _cmd_service_chaos(args: argparse.Namespace) -> str:
 
 
 def _chaos_experiment_name(args: argparse.Namespace) -> str:
-    """The experiment reference one ``chaos``/``bench`` call names.
+    """The experiment reference one ``chaos`` call names.
 
     Exactly one of the positional EXPERIMENT, ``--trace FILE``, or
     ``--scenario FILE`` must be given; the flags map onto the scenario
@@ -439,193 +429,6 @@ def cmd_recover(args: argparse.Namespace) -> str:
     return format_crash_report(recover_and_verify(args.directory))
 
 
-def _parse_batch_sizes(args: argparse.Namespace) -> Optional[List[int]]:
-    """The micro-batch sizes a ``bench`` invocation asked for, if any."""
-    sizes: List[int] = []
-    if args.batch_sizes:
-        try:
-            sizes = [
-                int(part)
-                for part in args.batch_sizes.split(",")
-                if part.strip()
-            ]
-        except ValueError:
-            raise CLIError(
-                f"--batch-sizes expects a comma-separated list of "
-                f"integers, got {args.batch_sizes!r}"
-            )
-    if args.batch_size is not None:
-        # A single --batch-size N measures 1 (the baseline) and N.
-        sizes = [1, args.batch_size]
-    if not sizes:
-        return None
-    for size in sizes:
-        if size < 1:
-            raise CLIError(f"batch sizes must be >= 1, got {size}")
-    return sizes
-
-
-def _run_batching_cmd(args: argparse.Namespace, sizes: List[int]) -> str:
-    """The per-tuple vs micro-batched variant of ``bench``."""
-    from repro.bench.batching import (
-        BATCHING_DEFAULT_ARRIVALS,
-        BATCHING_DEFAULT_OUT,
-        batching_to_json,
-        format_batching_report,
-        run_batching_bench,
-    )
-
-    out = args.out if args.out is not None else BATCHING_DEFAULT_OUT
-    _ensure_writable(out)
-    report = run_batching_bench(
-        batch_sizes=sizes,
-        arrivals=(
-            args.arrivals if args.arrivals else BATCHING_DEFAULT_ARRIVALS
-        ),
-    )
-    body = format_batching_report(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(batching_to_json(report))
-        body += f"\nwrote batching baseline to {out}"
-    return body
-
-
-def _run_recovery_bench_cmd(args: argparse.Namespace) -> str:
-    """The durability-overhead variant of ``bench`` (``--recovery``)."""
-    from repro.bench.recovery import (
-        DEFAULT_CHECKPOINT_INTERVAL,
-        RECOVERY_DEFAULT_ARRIVALS,
-        RECOVERY_DEFAULT_OUT,
-        format_recovery_bench_report,
-        recovery_bench_to_json,
-        run_recovery_bench,
-    )
-
-    out = args.out if args.out is not None else RECOVERY_DEFAULT_OUT
-    _ensure_writable(out)
-    fsync_values = [args.fsync_every] if args.fsync_every else [64]
-    report = run_recovery_bench(
-        fsync_every_values=fsync_values,
-        arrivals=(
-            args.arrivals if args.arrivals else RECOVERY_DEFAULT_ARRIVALS
-        ),
-        checkpoint_interval=(
-            args.checkpoint_interval
-            if args.checkpoint_interval
-            else DEFAULT_CHECKPOINT_INTERVAL
-        ),
-    )
-    body = format_recovery_bench_report(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(recovery_bench_to_json(report))
-        body += f"\nwrote recovery baseline to {out}"
-    return body
-
-
-def _parse_shard_counts(args: argparse.Namespace) -> tuple:
-    """The shard counts a ``bench`` invocation asked for."""
-    try:
-        shard_counts = tuple(
-            int(part) for part in args.shards.split(",") if part.strip()
-        )
-    except ValueError:
-        raise CLIError(
-            f"--shards expects a comma-separated list of integers, "
-            f"got {args.shards!r}"
-        )
-    if not shard_counts:
-        raise CLIError("--shards needs at least one shard count")
-    for count in shard_counts:
-        if count < 1:
-            raise CLIError(f"shard counts must be >= 1, got {count}")
-    return shard_counts
-
-
-def _run_wall_bench_cmd(args: argparse.Namespace) -> str:
-    """The wall-clock + profiler-overhead variant of ``bench`` (--wall)."""
-    from repro.bench.wall import (
-        WALL_DEFAULT_ARRIVALS,
-        WALL_DEFAULT_OUT,
-        WALL_DEFAULT_REPEATS,
-        format_wall_report,
-        run_wall_bench,
-        wall_to_json,
-    )
-
-    out = args.out if args.out is not None else WALL_DEFAULT_OUT
-    _ensure_writable(out)
-    repeats = args.repeats if args.repeats else WALL_DEFAULT_REPEATS
-    if repeats < 1:
-        raise CLIError(f"--repeats must be >= 1, got {repeats}")
-    report = run_wall_bench(
-        arrivals=args.arrivals if args.arrivals else WALL_DEFAULT_ARRIVALS,
-        repeats=repeats,
-        # The sharded point runs at the largest requested shard count.
-        shards=max(_parse_shard_counts(args)),
-        backend=args.backend,
-    )
-    body = format_wall_report(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(wall_to_json(report))
-        body += f"\nwrote wall baseline to {out}"
-    return body
-
-
-def _run_multi_bench_cmd(args: argparse.Namespace) -> str:
-    """The ``bench --multi`` variant: shared vs isolated hosting."""
-    from repro.bench.multi import (
-        MULTI_DEFAULT_ARRIVALS,
-        MULTI_DEFAULT_OUT,
-        MULTI_DEFAULT_QUERIES,
-        format_multi_bench_report,
-        multi_bench_to_json,
-        run_multi_bench,
-    )
-
-    queries = args.queries if args.queries else MULTI_DEFAULT_QUERIES
-    if queries < 2:
-        raise CLIError(f"--queries must be >= 2, got {queries}")
-    out = args.out if args.out is not None else MULTI_DEFAULT_OUT
-    _ensure_writable(out)
-    report = run_multi_bench(
-        queries=queries,
-        arrivals=(
-            args.arrivals if args.arrivals else MULTI_DEFAULT_ARRIVALS
-        ),
-    )
-    body = format_multi_bench_report(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(multi_bench_to_json(report))
-        body += f"\nwrote multi-query baseline to {out}"
-    return body
-
-
-def _run_service_bench_cmd(args: argparse.Namespace) -> str:
-    """The ``bench --service`` variant: real sockets, three scenarios."""
-    from repro.bench.service import (
-        SERVICE_DEFAULT_BATCHES,
-        SERVICE_DEFAULT_OUT,
-        format_service_bench_report,
-        run_service_bench,
-        service_bench_to_json,
-    )
-
-    batches = args.batches if args.batches else SERVICE_DEFAULT_BATCHES
-    out = args.out if args.out is not None else SERVICE_DEFAULT_OUT
-    _ensure_writable(out)
-    report = run_service_bench(batches=batches)
-    body = format_service_bench_report(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(service_bench_to_json(report))
-        body += f"\nwrote service baseline to {out}"
-    return body
-
-
 def cmd_serve(args: argparse.Namespace) -> str:
     """``serve``: run the service until SIGINT/SIGTERM, then drain.
 
@@ -673,96 +476,6 @@ def cmd_serve(args: argparse.Namespace) -> str:
     return f"drained and stopped {url}"
 
 
-def cmd_bench(args: argparse.Namespace) -> str:
-    """``bench``: serial-vs-sharded throughput on the 6-way workload.
-
-    With ``--batch-size``/``--batch-sizes`` it instead measures
-    per-tuple vs micro-batched execution (``BENCH_batching.json``); with
-    ``--recovery`` it measures WAL + checkpoint overhead against the
-    unjournaled baseline (``BENCH_recovery.json``); with ``--wall`` it
-    measures real wall throughput and the span profiler's overhead
-    (``BENCH_wall.json``); with ``--multi`` it measures shared-engine
-    vs isolated multi-query hosting at a fixed global memory quota
-    (``BENCH_multi.json``).
-    """
-    from repro.parallel.bench import (
-        DEFAULT_ARRIVALS,
-        DEFAULT_OUT,
-        bench_to_json,
-        format_bench_report,
-        run_parallel_bench,
-    )
-
-    _check_arrivals(args)
-    if args.backend not in BACKENDS:
-        raise CLIError(
-            f"--backend must be one of {list(BACKENDS)}, "
-            f"got {args.backend!r}"
-        )
-    if (args.trace or args.scenario) and (
-        args.multi or args.service or args.recovery or args.wall
-        or args.batch_size is not None or args.batch_sizes
-    ):
-        raise CLIError(
-            "--trace/--scenario only drive the parallel bench; drop the "
-            "other mode flags"
-        )
-    if args.multi:
-        return _run_multi_bench_cmd(args)
-    if args.service:
-        return _run_service_bench_cmd(args)
-    if args.recovery:
-        return _run_recovery_bench_cmd(args)
-    if args.wall:
-        return _run_wall_bench_cmd(args)
-    batch_sizes = _parse_batch_sizes(args)
-    if batch_sizes is not None:
-        return _run_batching_cmd(args, batch_sizes)
-    shard_counts = _parse_shard_counts(args)
-    out = args.out if args.out is not None else DEFAULT_OUT
-    _ensure_writable(out)
-    arrivals = args.arrivals if args.arrivals else DEFAULT_ARRIVALS
-    workload_factory = None
-    if args.trace and args.scenario:
-        raise CLIError("pass --trace or --scenario, not both")
-    if args.trace:
-        from functools import partial
-
-        from repro.scenarios.trace import load_trace_workload
-
-        # Load eagerly: an unknown path or bad checksum must fail now,
-        # not inside a shard worker.
-        recorded = load_trace_workload(args.trace).recorded_arrivals
-        workload_factory = partial(load_trace_workload, args.trace)
-        arrivals = args.arrivals if args.arrivals else recorded
-    elif args.scenario:
-        from functools import partial
-
-        from repro.scenarios.library import (
-            build_scenario_file_workload,
-            load_scenario,
-        )
-
-        scenario = load_scenario(args.scenario)
-        if not args.arrivals:
-            arrivals = int(scenario["arrivals"])
-        workload_factory = partial(
-            build_scenario_file_workload, args.scenario, arrivals
-        )
-    report = run_parallel_bench(
-        shard_counts=shard_counts,
-        arrivals=arrivals,
-        backend=args.backend,
-        workload_factory=workload_factory,
-    )
-    body = format_bench_report(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(bench_to_json(report))
-        body += f"\nwrote bench baseline to {out}"
-    return body
-
-
 def _profile_workload(name: str):
     """The workload factory behind one ``profile`` experiment name."""
     from functools import partial
@@ -785,13 +498,13 @@ def _profile_workload(name: str):
 def _profile_tuning():
     """Adaptive tunables for ``profile`` runs.
 
-    Faster-adapting than the bench's: a sharded run hands each worker a
-    stream ``shards``× thinner, and under the bench intervals the
-    per-shard statistics profiler starves before the re-optimizer ever
-    installs a cache (the 4-shard point of BENCH_parallel.json sits at
-    hit rate 0.0 for exactly this reason). Shorter profiling/re-opt
-    intervals keep caches engaging at profiling scales so the per-shard
-    probe/hit counters show the imbalance instead of a wall of zeros.
+    Faster-adapting than :func:`repro.parallel.bench.bench_tuning`: a
+    sharded run hands each worker a stream ``shards``× thinner, and
+    under the bench intervals the per-shard statistics profiler starves
+    before the re-optimizer ever installs a cache. Shorter
+    profiling/re-opt intervals keep caches engaging at profiling scales
+    so the per-shard probe/hit counters show the imbalance instead of a
+    wall of zeros.
     """
     from repro.core.acaching import ACachingConfig
     from repro.core.profiler import ProfilerConfig
@@ -813,19 +526,23 @@ def _profile_tuning():
 
 
 def _hotspot_lines(snapshot) -> List[str]:
-    """The span hotspot table ``profile`` prints."""
-    from repro.bench.wall import hotspot_table
-
+    """The span hotspot table ``profile`` prints: the ten span names with
+    the most self wall time, with dual-clock percentiles."""
     lines = [
         f"{'span':<24} | {'count':>7} | {'self ms':>8} | "
         f"{'p50 us':>7} | {'p95 us':>8} | {'p99 us':>8} | {'virt ms':>8}"
     ]
-    for row in hotspot_table(snapshot):
+    hottest = sorted(
+        snapshot.aggregates().values(), key=lambda a: a.self_ns, reverse=True
+    )
+    for aggregate in hottest[:10]:
         lines.append(
-            f"{row['span']:<24} | {row['count']:>7,} | "
-            f"{row['self_ms']:>8.1f} | {row['p50_us']:>7.1f} | "
-            f"{row['p95_us']:>8.1f} | {row['p99_us']:>8.1f} | "
-            f"{row['virtual_ms']:>8.1f}"
+            f"{aggregate.name:<24} | {aggregate.count:>7,} | "
+            f"{aggregate.self_ns / 1e6:>8.1f} | "
+            f"{aggregate.quantile_ns(0.50) / 1e3:>7.1f} | "
+            f"{aggregate.quantile_ns(0.95) / 1e3:>8.1f} | "
+            f"{aggregate.quantile_ns(0.99) / 1e3:>8.1f} | "
+            f"{aggregate.virtual_us / 1e3:>8.1f}"
         )
     return lines
 
@@ -1150,92 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the --wal-dir a `chaos --crash` run journaled into",
     )
     recover.set_defaults(handler=cmd_recover)
-
-    bench = sub.add_parser(
-        "bench",
-        help="serial-vs-sharded (or per-tuple vs batched) throughput "
-             "benchmark",
-    )
-    bench.add_argument(
-        "--shards", default="1,2,4", metavar="N,N,...",
-        help="comma-separated shard counts to measure (default 1,2,4)",
-    )
-    bench.add_argument("--arrivals", type=int, default=None)
-    bench.add_argument(
-        "--backend", default="process",
-        help="shard backend: process (default) or serial",
-    )
-    bench.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="measure micro-batched execution at batch size N against "
-             "the per-tuple baseline (writes BENCH_batching.json)",
-    )
-    bench.add_argument(
-        "--batch-sizes", default=None, metavar="N,N,...",
-        help="comma-separated micro-batch sizes to measure "
-             "(e.g. 1,4,16,64; writes BENCH_batching.json)",
-    )
-    bench.add_argument(
-        "--recovery", action="store_true",
-        help="measure WAL + checkpoint overhead vs the unjournaled "
-             "baseline (writes BENCH_recovery.json)",
-    )
-    bench.add_argument(
-        "--wall", action="store_true",
-        help="measure real wall-clock throughput (serial vs batched vs "
-             "sharded) plus the span profiler's overhead "
-             "(writes BENCH_wall.json)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None, metavar="N",
-        help="with --wall: repeats per mode, median reported (default 3)",
-    )
-    bench.add_argument(
-        "--fsync-every", type=int, default=None, metavar="N",
-        help="with --recovery: WAL records per fsync batch (default 64)",
-    )
-    bench.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="N",
-        help="with --recovery: updates between checkpoints (default 1000)",
-    )
-    bench.add_argument(
-        "--service", action="store_true",
-        help="benchmark the streaming service over a real socket: clean "
-             "vs overloaded vs kill-then-recover (writes "
-             "BENCH_service.json)",
-    )
-    bench.add_argument(
-        "--batches", type=int, default=None, metavar="N",
-        help="with --service: ingest batches per scenario (default 150)",
-    )
-    bench.add_argument(
-        "--multi", action="store_true",
-        help="benchmark shared-engine vs isolated multi-query hosting "
-             "at a fixed global memory quota (writes BENCH_multi.json)",
-    )
-    bench.add_argument(
-        "--queries", type=int, default=None, metavar="N",
-        help="with --multi: number of hosted queries (default 3)",
-    )
-    bench.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="bench a recorded trace file instead of the built-in "
-             "6-way workload",
-    )
-    bench.add_argument(
-        "--scenario", metavar="FILE", default=None,
-        help="bench a scenario file (JSON/YAML) instead of the built-in "
-             "6-way workload",
-    )
-    bench.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the JSON baseline here (default BENCH_parallel.json, "
-             "BENCH_batching.json with --batch-sizes, "
-             "BENCH_recovery.json with --recovery, "
-             "BENCH_service.json with --service, or "
-             "BENCH_multi.json with --multi)",
-    )
-    bench.set_defaults(handler=cmd_bench)
 
     serve = sub.add_parser(
         "serve",

@@ -157,7 +157,7 @@ class MultiQueryEngine:
     ``budget_bytes`` is the *global* cache budget arbitrated across all
     tenants (None = unbounded). ``share_caches=False`` keeps windows
     shared but gives every query private stores (useful for measuring
-    the value of inter-query sharing; the bench does exactly that).
+    the value of inter-query sharing).
     """
 
     def __init__(
@@ -456,7 +456,7 @@ class MultiQueryEngine:
         )
 
     def snapshot(self) -> Dict[str, object]:
-        """Engine-level state for status endpoints and the bench."""
+        """Engine-level state for status endpoints and the tests."""
         return {
             "queries": sorted(self._queries),
             "streams": sorted(self.hub.relations),

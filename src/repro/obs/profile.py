@@ -1,7 +1,7 @@
 """A hierarchical dual-clock span profiler for real wall-time attribution.
 
-Every BENCH baseline so far reports *modeled* (virtual-clock) numbers;
-this module measures where the real time goes. A span is one region of
+The virtual cost clock reports *modeled* numbers; this module measures
+where the real time goes. A span is one region of
 the engine's hierarchy — ``run`` → ``update:∆R``/``batch`` → operator →
 cache probe/store — and each span records **both clocks**:
 
@@ -17,8 +17,9 @@ p50/p95/p99 are read without storing observations.
 
 The disabled path is a single attribute check against the slotted
 :data:`NULL_PROFILER` singleton — the same pattern as ``NULL_TRACER`` —
-and :func:`noop_overhead_ns` measures exactly that guard's cost so the
-wall benchmark (``repro bench --wall``) can prove the ≤3% budget.
+and :func:`noop_overhead_ns` measures exactly that guard's cost, which
+:func:`disabled_overhead_fraction` turns into a share of a run's wall
+time.
 """
 
 from __future__ import annotations

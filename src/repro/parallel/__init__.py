@@ -5,7 +5,7 @@ Hash-partitions every update stream on an equijoin attribute class
 pipeline — joins, windows, caches, profiler, re-optimizer, resilience —
 per shard, and merges the emitted results back into the global arrival
 order. See docs/parallelism.md for the scheme, its equivalence
-guarantees, and the benchmark methodology.
+guarantees, and the modeled speedup.
 
 >>> from functools import partial
 >>> from repro.parallel import (

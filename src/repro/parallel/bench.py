@@ -1,53 +1,20 @@
-"""The serial-vs-sharded throughput benchmark (``repro bench``).
+"""The adaptive engine configuration the benchmarks and tests share.
 
-Measures the full adaptive A-Caching engine on the 6-way star workload
-(Figure 9's shape at n=6: one attribute class, so every stream hash-
-partitions and nothing is broadcast) serially and at each requested
-shard count, and writes ``BENCH_parallel.json`` — the repo's performance
-trajectory baseline that future PRs diff against.
-
-Two speedups are reported per shard count:
-
-* ``modeled_speedup`` — serial virtual elapsed time over the sharded
-  critical path (slowest shard). Deterministic and hardware-independent:
-  what a machine with one core per shard achieves under the engine's
-  cost model. This is the number CI can assert on.
-* ``wall_seconds`` — real time the backend took on *this* machine.
-  Informative only: on a single-core container the process backend
-  cannot beat serial wall time, while on >= shards cores it tracks the
-  modeled number.
+The wall-clock ledger (``benchmarks/ledger/workloads.py``), the golden
+virtual-clock test and the batching, recovery and hot-path tests all
+build their engine from :func:`bench_engine_config`, so every
+measurement and every pinned figure runs the same tunables. The two
+functions stay in this module, where the retired ``repro bench``
+harness defined them, until the ledger moves them beside itself.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Dict, List, Optional, Sequence
-
 from repro.api import EngineConfig
+from repro.core.acaching import ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
-from repro.core.acaching import ACachingConfig
-from repro.errors import ParallelError
 from repro.ordering.agreedy import OrderingConfig
-from repro.parallel.adaptivity import AdaptivityConfig, recommend_rescale
-from repro.parallel.engine import (
-    ParallelConfig,
-    ParallelEngine,
-    output_chronology,
-)
-from repro.parallel.spec import EngineSpec, ExperimentSpec
-from repro.streams.workloads import fig9_workload
-
-# v2: sharded points run under the global adaptivity plane (per-point
-# ``coordinated`` flag, nonzero sharded hit rates) and the report gains
-# a ``resharding`` block demonstrating a mid-run 2 -> 4 rescale.
-BENCH_SCHEMA_VERSION = 2
-DEFAULT_OUT = "BENCH_parallel.json"
-DEFAULT_ARRIVALS = 8_000
-DEFAULT_SHARDS = (1, 2, 4)
-BENCH_RELATIONS = 6
 
 
 def bench_tuning() -> ACachingConfig:
@@ -74,312 +41,3 @@ def bench_tuning() -> ACachingConfig:
 def bench_engine_config(batch_size: int = 1) -> EngineConfig:
     """The facade config every bench run builds its engine from."""
     return EngineConfig(tuning=bench_tuning(), batch_size=batch_size)
-
-
-def bench_engine_spec() -> EngineSpec:
-    """The adaptive engine configuration every bench run uses."""
-    return bench_engine_config().engine_spec("adaptive")
-
-
-#: epoch length of the bench's adaptivity plane (global stream positions).
-BENCH_SYNC_EVERY = 2_000
-
-
-def bench_spec(
-    arrivals: int, workload_factory=None
-) -> ExperimentSpec:
-    """The 6-way workload experiment, steady-state measured.
-
-    Carries the adaptivity plane; :class:`ParallelEngine` only activates
-    it when the run is actually sharded, so the serial reference still
-    measures the local (per-engine) re-optimizer. ``workload_factory``
-    (a zero-argument picklable callable) swaps the hardcoded 6-way
-    workload for any other — the ``bench --trace``/``--scenario`` path.
-    """
-    if workload_factory is None:
-        workload_factory = partial(fig9_workload, BENCH_RELATIONS, window=48)
-    return ExperimentSpec(
-        workload_factory=workload_factory,
-        arrivals=arrivals,
-        engine=bench_engine_spec(),
-        warmup_fraction=0.4,
-        output_mode="none",
-        adaptivity=AdaptivityConfig(sync_every_updates=BENCH_SYNC_EVERY),
-    )
-
-
-@dataclass
-class BenchPoint:
-    """One shard count's measurement."""
-
-    shards: int
-    backend: str
-    modeled_throughput: float
-    steady_throughput: float
-    modeled_speedup: float
-    steady_speedup: float
-    critical_path_s: float
-    total_work_s: float
-    balance: float
-    wall_seconds: float
-    source_updates: int
-    per_shard_updates: List[int]
-    hit_rate: float
-    used_caches: List[str]
-    partitioned: List[str]
-    broadcast: List[str]
-    coordinated: bool = False
-
-
-@dataclass
-class ReshardDemo:
-    """One elastic-resharding demonstration: stop, rescale, verify."""
-
-    from_shards: int
-    to_shards: int
-    boundary_updates: int        # global stream position of the rescale
-    outputs_identical: bool      # combined chronology == fixed-shard run
-    windows_identical: bool      # final window contents agree too
-    pre_hit_rate: float          # stopped run (phase 1)
-    post_hit_rate: float         # rescaled continuation (phase 2)
-    fixed_hit_rate: float        # the uninterrupted reference run
-    advice_action: str           # rate-aware trigger on the stopped run
-    recommended_shards: int
-
-
-@dataclass
-class BenchReport:
-    """The full serial-vs-sharded comparison."""
-
-    workload: str
-    arrivals: int
-    backend: str
-    serial_throughput: float
-    serial_steady_throughput: float
-    serial_elapsed_s: float
-    serial_steady_span_s: float
-    serial_wall_seconds: float
-    points: List[BenchPoint] = field(default_factory=list)
-    resharding: Optional[ReshardDemo] = None
-
-
-def run_parallel_bench(
-    shard_counts: Sequence[int] = DEFAULT_SHARDS,
-    arrivals: int = DEFAULT_ARRIVALS,
-    backend: str = "process",
-    workload_factory=None,
-) -> BenchReport:
-    """Measure serial vs sharded throughput on the 6-way workload.
-
-    ``workload_factory`` (zero-argument, picklable) benches any other
-    workload — a replayed trace or a compiled scenario — instead.
-    """
-    if arrivals <= 0:
-        raise ParallelError(f"arrivals must be positive, got {arrivals}")
-    if not shard_counts:
-        raise ParallelError("need at least one shard count to benchmark")
-    for count in shard_counts:
-        if count < 1:
-            raise ParallelError(f"shard count must be >= 1, got {count}")
-
-    spec = bench_spec(arrivals, workload_factory)
-
-    # Serial reference: the same computation as one shard of one.
-    import time
-
-    started = time.perf_counter()
-    serial = ParallelEngine(ParallelConfig(shards=1, backend="serial")).run(
-        spec
-    )
-    serial_wall = time.perf_counter() - started
-    serial_elapsed_us = serial.stats.critical_path_us
-    serial_steady_us = serial.stats.measured_critical_us
-
-    report = BenchReport(
-        workload=spec.workload_factory().name,
-        arrivals=arrivals,
-        backend=backend,
-        serial_throughput=serial.stats.modeled_throughput,
-        serial_steady_throughput=serial.stats.steady_throughput,
-        serial_elapsed_s=serial_elapsed_us / 1e6,
-        serial_steady_span_s=serial_steady_us / 1e6,
-        serial_wall_seconds=serial.wall_seconds,
-    )
-    for count in shard_counts:
-        run = ParallelEngine(
-            ParallelConfig(shards=count, backend=backend)
-        ).run(spec)
-        stats = run.stats
-        report.points.append(
-            BenchPoint(
-                shards=count,
-                backend=run.backend,
-                modeled_throughput=stats.modeled_throughput,
-                steady_throughput=stats.steady_throughput,
-                modeled_speedup=stats.speedup_over_us(serial_elapsed_us),
-                steady_speedup=(
-                    serial_steady_us / max(1e-12, stats.measured_critical_us)
-                ),
-                critical_path_s=stats.critical_path_us / 1e6,
-                total_work_s=stats.total_work_us / 1e6,
-                balance=stats.balance,
-                wall_seconds=run.wall_seconds,
-                source_updates=stats.source_updates,
-                per_shard_updates=list(stats.per_shard_updates),
-                hit_rate=stats.hit_rate,
-                used_caches=list(stats.used_caches),
-                partitioned=list(run.scheme.partitioned),
-                broadcast=list(run.scheme.broadcast),
-                coordinated=bool(run.cache_plans),
-            )
-        )
-    report.resharding = run_reshard_demo(
-        arrivals, workload_factory=workload_factory
-    )
-    return report
-
-
-def run_reshard_demo(
-    arrivals: int = DEFAULT_ARRIVALS,
-    from_shards: int = 2,
-    to_shards: int = 4,
-    workload_factory=None,
-) -> ReshardDemo:
-    """Stop a coordinated run mid-stream, rescale it, verify identity.
-
-    Runs phase 1 at ``from_shards`` to an epoch-aligned update boundary,
-    rescales the live window state to ``to_shards`` for the remainder,
-    and checks the combined output chronology and final windows against
-    one uninterrupted ``to_shards`` run. Always on the in-process
-    backend: identity is a property of the computation, not the
-    transport (the equivalence suite pins backend-equality separately).
-    """
-    # warmup_fraction=0 so the stopped prefix reports real hit rates —
-    # the bench's 0.4 warmup would swallow the whole pre-rescale phase.
-    base = replace(
-        bench_spec(arrivals, workload_factory),
-        output_mode="deltas",
-        collect_windows=True,
-        warmup_fraction=0.0,
-    )
-    # Late enough that the pre-rescale phase has live caches (epoch 1
-    # profiles are still warming), early enough that roughly half the
-    # stream — inserts plus expiries, about 1.9x arrivals on fig9 —
-    # runs at the new width. At the default 8000 arrivals this lands on
-    # epoch 4 (position 8000 of ~15k).
-    epochs = max(2, arrivals // BENCH_SYNC_EVERY)
-    boundary = epochs * BENCH_SYNC_EVERY
-    fixed = ParallelEngine(
-        ParallelConfig(shards=to_shards, backend="serial")
-    ).run(base)
-    stopped = ParallelEngine(
-        ParallelConfig(shards=from_shards, backend="serial")
-    ).run(replace(base, stop_after_updates=boundary))
-    resumed = stopped.rescale(to_shards, backend="serial")
-    advice = recommend_rescale(stopped.stats)
-    return ReshardDemo(
-        from_shards=from_shards,
-        to_shards=to_shards,
-        boundary_updates=boundary,
-        outputs_identical=(
-            output_chronology(stopped, resumed)
-            == output_chronology(fixed)
-        ),
-        windows_identical=(
-            resumed.merged_windows() == fixed.merged_windows()
-        ),
-        pre_hit_rate=stopped.stats.hit_rate,
-        post_hit_rate=resumed.stats.hit_rate,
-        fixed_hit_rate=fixed.stats.hit_rate,
-        advice_action=advice.action,
-        recommended_shards=advice.recommended_shards,
-    )
-
-
-def bench_to_json(report: BenchReport) -> str:
-    """Serialize a bench report (schema in benchmarks/README.md)."""
-    payload = {
-        "kind": "parallel_bench",
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "workload": report.workload,
-        "arrivals": report.arrivals,
-        "backend": report.backend,
-        "serial": {
-            "modeled_throughput": round(report.serial_throughput, 1),
-            "steady_throughput": round(report.serial_steady_throughput, 1),
-            "elapsed_virtual_s": round(report.serial_elapsed_s, 6),
-            "steady_span_virtual_s": round(report.serial_steady_span_s, 6),
-            "wall_seconds": round(report.serial_wall_seconds, 3),
-        },
-        "points": [
-            {
-                "shards": p.shards,
-                "backend": p.backend,
-                "modeled_throughput": round(p.modeled_throughput, 1),
-                "steady_throughput": round(p.steady_throughput, 1),
-                "modeled_speedup": round(p.modeled_speedup, 3),
-                "steady_speedup": round(p.steady_speedup, 3),
-                "critical_path_virtual_s": round(p.critical_path_s, 6),
-                "total_work_virtual_s": round(p.total_work_s, 6),
-                "balance": round(p.balance, 3),
-                "wall_seconds": round(p.wall_seconds, 3),
-                "source_updates": p.source_updates,
-                "per_shard_updates": p.per_shard_updates,
-                "hit_rate": round(p.hit_rate, 4),
-                "used_caches": p.used_caches,
-                "partitioned": p.partitioned,
-                "broadcast": p.broadcast,
-                "coordinated": p.coordinated,
-            }
-            for p in report.points
-        ],
-    }
-    demo = report.resharding
-    if demo is not None:
-        payload["resharding"] = {
-            "from_shards": demo.from_shards,
-            "to_shards": demo.to_shards,
-            "boundary_updates": demo.boundary_updates,
-            "outputs_identical": demo.outputs_identical,
-            "windows_identical": demo.windows_identical,
-            "pre_hit_rate": round(demo.pre_hit_rate, 4),
-            "post_hit_rate": round(demo.post_hit_rate, 4),
-            "fixed_hit_rate": round(demo.fixed_hit_rate, 4),
-            "advice_action": demo.advice_action,
-            "recommended_shards": demo.recommended_shards,
-        }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def format_bench_report(report: BenchReport) -> str:
-    """Human-readable bench table for the CLI."""
-    lines = [
-        f"parallel throughput bench — {report.workload}, "
-        f"{report.arrivals} arrivals, backend {report.backend}",
-        "=" * 72,
-        f"serial: {report.serial_throughput:>10,.0f} updates/sec "
-        f"(steady {report.serial_steady_throughput:,.0f}), "
-        f"{report.serial_elapsed_s:.3f}s virtual, "
-        f"{report.serial_wall_seconds:.2f}s wall",
-        f"{'shards':>7} | {'modeled rate':>12} | {'speedup':>8} | "
-        f"{'steady x':>8} | {'balance':>7} | {'wall s':>7} | broadcast",
-    ]
-    for p in report.points:
-        coordinated = " (coordinated)" if p.coordinated else ""
-        lines.append(
-            f"{p.shards:>7} | {p.modeled_throughput:>12,.0f} | "
-            f"{p.modeled_speedup:>7.2f}x | {p.steady_speedup:>7.2f}x | "
-            f"{p.balance:>7.2f} | {p.wall_seconds:>7.2f} | "
-            f"{p.broadcast or '—'}{coordinated}"
-        )
-    demo = report.resharding
-    if demo is not None:
-        verdict = "identical" if demo.outputs_identical else "DIVERGED"
-        lines.append(
-            f"reshard {demo.from_shards}->{demo.to_shards} at update "
-            f"{demo.boundary_updates}: outputs {verdict}, hit rate "
-            f"{demo.pre_hit_rate:.2f} -> {demo.post_hit_rate:.2f} "
-            f"(fixed {demo.fixed_hit_rate:.2f}); advice: "
-            f"{demo.advice_action} -> {demo.recommended_shards} shards"
-        )
-    return "\n".join(lines)

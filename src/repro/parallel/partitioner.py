@@ -91,7 +91,7 @@ class PartitionScheme:
             return tuple(range(self.shard_count))
 
     def describe(self) -> Dict[str, object]:
-        """A JSON-friendly summary for bench reports and docs."""
+        """A JSON-friendly summary for reports and docs."""
         return {
             "shards": self.shard_count,
             "class": [f"{a.relation}.{a.attribute}" for a in self.class_attrs],

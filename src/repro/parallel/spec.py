@@ -83,8 +83,8 @@ class EngineSpec:
         raise ParallelError(f"unknown engine kind {self.kind!r}")
 
 
-# What a shard sends back about its emitted results. ``none`` keeps the
-# bench cheap, ``canonical`` ships rid-free multiset keys (chaos compares
+# What a shard sends back about its emitted results. ``none`` keeps
+# throughput runs cheap, ``canonical`` ships rid-free multiset keys (chaos compares
 # values, not identities), ``deltas`` ships full OutputDeltas tagged with
 # their source-update seq for the global-order merge.
 OUTPUT_MODES = ("none", "canonical", "deltas")

@@ -24,6 +24,7 @@ from repro.faults.resilience import ResilienceConfig
 from repro.operators.base import BatchProbeMemo
 from repro.parallel.bench import bench_engine_config, bench_tuning
 from repro.parallel.engine import ParallelConfig, run_sharded
+from repro.planner.enumeration import measured_run
 from repro.scenarios.library import SCENARIOS, build_scenario_workload
 from repro.streams.events import DeltaBatch
 from repro.streams.workloads import fig9_workload, three_way_chain
@@ -275,3 +276,28 @@ def test_instrumented_batch_keeps_per_update_events(resilience):
     assert len(events) + dropped == engine.ctx.metrics.updates_processed
     assert all(isinstance(e.data["profiled"], bool) for e in events)
     assert any(e.data["profiled"] for e in events)
+
+
+# ----------------------------------------------------------------------
+# the modeled gain of batching
+# ----------------------------------------------------------------------
+def _steady_star6(batch_size):
+    """The 6-way star at ``batch_size``: steady-state virtual throughput
+    (warmup excluded) and the session that produced it."""
+    workload = fig9_workload(6, window=48)
+    session = Session.adaptive(workload, bench_engine_config(batch_size))
+    steady = measured_run(session, workload, 4_000, batch_size=batch_size)
+    return steady, session
+
+
+def test_batch_64_meets_the_modeled_speedup_floor():
+    """Batch 64 emits what batch 1 emits at >= 1.2x the steady virtual
+    throughput, i.e. <= 1/1.2 of its virtual us/update (1.55x when this
+    floor was set). Virtual time is deterministic, so the floor cannot
+    flake; wall-clock batching lives in the ledger's ``star6_batch64``."""
+    per_update, one = _steady_star6(1)
+    batched, sixty_four = _steady_star6(64)
+    outputs = one.ctx.metrics.outputs_emitted
+    assert outputs > 0 and one.used_caches(), "no joins or caches: vacuous"
+    assert sixty_four.ctx.metrics.outputs_emitted == outputs
+    assert batched / per_update >= 1.2

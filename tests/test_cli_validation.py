@@ -49,14 +49,6 @@ def test_chaos_flags_validated_before_running(capsys):
     )
 
 
-def test_bench_shard_list_validation(capsys):
-    assert_clean_error(capsys, ["bench", "--shards", "1,x"], "--shards")
-    assert_clean_error(capsys, ["bench", "--shards", "0,2"], ">= 1")
-    assert_clean_error(capsys, ["bench", "--shards", " , "], "--shards")
-    assert_clean_error(capsys, ["bench", "--backend", "gpu"], "--backend")
-    assert_clean_error(capsys, ["bench", "--arrivals", "0"], "--arrivals")
-
-
 def test_sharded_demo_runs_clean(capsys):
     assert (
         main(["demo", "--arrivals", "500", "--shards", "2"]) == 0

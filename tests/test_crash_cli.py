@@ -1,11 +1,9 @@
-"""The crash-chaos CLI surface: ``chaos --crash``, ``recover``, bench.
+"""The crash-chaos CLI surface: ``chaos --crash`` and ``recover``.
 
 End-to-end through ``repro.cli.main`` with small arrival counts, pinning
 the RECOVERED verdict, the ``--no-recover`` + ``recover DIR`` round
-trip, the dead-letter dump, the recovery bench, and clean error mapping.
+trip, the dead-letter dump, and clean error mapping.
 """
-
-import json
 
 import pytest
 
@@ -141,32 +139,3 @@ def test_recover_and_verify_direct(tmp_path):
 def test_read_manifest_missing_raises():
     with pytest.raises(RecoveryError):
         read_manifest("/nonexistent/journal")
-
-
-def test_bench_recovery_smoke(tmp_path, capsys):
-    out_path = tmp_path / "bench.json"
-    assert (
-        main(
-            [
-                "bench",
-                "--recovery",
-                "--arrivals",
-                "1500",
-                "--fsync-every",
-                "32",
-                "--out",
-                str(out_path),
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "recovery overhead bench" in out
-    assert "criterion: overhead <= 10%" in out
-    payload = json.loads(out_path.read_text())
-    assert payload["kind"] == "recovery_bench"
-    assert payload["points"][0]["fsync_every"] == 32
-    assert (
-        payload["points"][0]["outputs_emitted"]
-        == payload["baseline"]["outputs_emitted"]
-    )

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import EngineConfig, MultiSession
+from repro.api import EngineConfig, MultiSession, Session
 from repro.core.acaching import ACachingConfig
 from repro.core.memory import CacheDemand, PAGE_BYTES
 from repro.core.reoptimizer import ReoptimizerConfig
@@ -314,6 +314,59 @@ class TestOverlap:
         report = multi_query_overlap({"star": STAR3(), "chain": CHAIN()})
         assert report["shareable_groups"] == {}
         assert report["stores_saved"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the sharing gain: shared vs isolated hosting at one global quota
+# ---------------------------------------------------------------------------
+
+def _quota_config(budget_bytes):
+    return EngineConfig(
+        tuning=ACachingConfig(
+            reoptimizer=ReoptimizerConfig(
+                reopt_interval_updates=1_200,
+                profiling_phase_updates=200,
+                memory_budget_bytes=budget_bytes,
+            )
+        )
+    )
+
+
+class TestSharingGain:
+    def test_shared_holds_fewer_cache_bytes_at_no_lower_hit_rate(self):
+        """Three identical 3-way stars under a 1 MiB quota, hosted on
+        one engine (the whole quota arbitrated, each shared store kept
+        once) and on three engines (a third each). Same per-query
+        deltas; shared holds fewer cache bytes at a hit rate no lower
+        (4,392 B at 0.924 against 11,016 B at 0.810 when this test was
+        written), with a store shared."""
+        budget, ids = 1 << 20, ("q1", "q2", "q3")
+        updates = list(fig9_workload(3, window=24).updates(6_000))
+
+        engine = MultiQueryEngine(budget_bytes=budget)
+        for query_id in ids:
+            engine.register(
+                query_id, fig9_workload(3, window=24), _quota_config(budget)
+            )
+        shared = engine.run(updates)
+        snapshot = engine.snapshot()
+
+        isolated, cache_bytes, probes, hits = {}, 0, 0, 0
+        for query_id in ids:
+            session = Session.adaptive(
+                fig9_workload(3, window=24),
+                _quota_config(budget // len(ids)),
+            )
+            isolated[query_id] = session.run(updates=iter(updates))
+            cache_bytes += session.plan.memory_in_use()
+            probes += session.ctx.metrics.cache_probes
+            hits += session.ctx.metrics.cache_hits
+
+        assert all(isolated[q] for q in ids) and probes, "vacuous: no work"
+        assert {q: shared[q] for q in ids} == isolated
+        assert snapshot["shared_stores"] >= 1
+        assert snapshot["cache_bytes"] < cache_bytes
+        assert engine.aggregate_hit_rate() >= hits / probes
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,13 @@
-"""``repro profile`` and ``repro bench --wall`` end to end.
+"""``repro profile`` end to end.
 
 The CLI is the observability story's front door: serial profiles must
-emit run-rooted folded stacks and a loadable pstats dump, sharded
-profiles must label every per-shard series, and the wall bench must
-write a gateable BENCH_wall.json that the regression checker accepts.
+emit run-rooted folded stacks and a loadable pstats dump, and sharded
+profiles must label every per-shard series.
 """
 
-import json
 import pstats
-import subprocess
-import sys
-from pathlib import Path
 
 from repro.cli import main
-
-GATE = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks"
-    / "check_wall_regression.py"
-)
-
-
-def run_gate(*argv):
-    return subprocess.run(
-        [sys.executable, str(GATE), *argv],
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_profile_serial_emits_flame_pstats_and_coverage(tmp_path, capsys):
@@ -73,67 +54,3 @@ def test_profile_unknown_experiment_fails_cleanly(capsys):
 def test_profile_rejects_bad_batch_size(capsys):
     assert main(["profile", "demo", "--batch-size", "0"]) == 1
     assert "--batch-size" in capsys.readouterr().err
-
-
-def test_bench_wall_writes_a_gateable_baseline(tmp_path, capsys):
-    out_path = tmp_path / "wall.json"
-    code = main([
-        "bench", "--wall", "--arrivals", "600", "--repeats", "1",
-        "--backend", "serial", "--out", str(out_path),
-    ])
-    assert code == 0
-    assert "profiler overhead" in capsys.readouterr().out
-    payload = json.loads(out_path.read_text())
-    assert payload["benchmark"] == "wall"
-    assert {p["mode"] for p in payload["points"]} == {
-        "serial", "batched", "sharded",
-    }
-    overhead = payload["overhead"]
-    assert overhead["span_crossings"] > 0
-    assert 0.0 <= overhead["disabled_overhead_fraction"] <= (
-        payload["tolerances"]["disabled_overhead_max"]
-    )
-    # Ranking within the table is load-dependent at this tiny scale;
-    # membership is not.
-    assert "run" in {row["span"] for row in payload["hotspots"]}
-
-    # The freshly measured file passes the gate against itself.
-    result = run_gate(str(out_path), "--baseline", str(out_path))
-    assert result.returncode == 0, result.stdout + result.stderr
-
-
-def wall_payload(disabled=0.01, serial_wall=1.0):
-    return {
-        "benchmark": "wall",
-        "points": [
-            {"mode": "serial", "wall_seconds": serial_wall},
-            {"mode": "batched", "wall_seconds": serial_wall},
-            {"mode": "sharded", "wall_seconds": serial_wall},
-        ],
-        "overhead": {"disabled_overhead_fraction": disabled},
-        "tolerances": {
-            "disabled_overhead_max": 0.03, "wall_rel_tol": 0.50,
-        },
-    }
-
-
-def test_gate_fails_on_overhead_even_in_warn_only_mode(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps(wall_payload()))
-    fresh.write_text(json.dumps(wall_payload(disabled=0.10)))
-    result = run_gate(str(fresh), "--baseline", str(baseline), "--warn-only")
-    assert result.returncode == 1
-    assert "exceeds" in result.stderr
-
-
-def test_gate_downgrades_wall_drift_with_warn_only(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps(wall_payload()))
-    fresh.write_text(json.dumps(wall_payload(serial_wall=3.0)))
-    strict = run_gate(str(fresh), "--baseline", str(baseline))
-    assert strict.returncode == 1
-    lenient = run_gate(str(fresh), "--baseline", str(baseline), "--warn-only")
-    assert lenient.returncode == 0
-    assert "warning" in lenient.stdout

@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import EngineConfig, Session
+from repro.engine.drive import drive
 from repro.errors import ConfigError, RecoveryError, ReproError
+from repro.parallel.bench import bench_engine_config
 from repro.recovery.manager import Recorder, RecoveryConfig, RecoveryManager
 from repro.recovery.snapshot import CheckpointStore, decode_snapshot, encode_snapshot
 from repro.recovery.wal import WriteAheadLog, read_wal
@@ -214,6 +216,45 @@ def test_sharded_crash_recovers_identically(tmp_path, cache_mode, kill_after):
     )
     assert run.restarts == {1: 1}
     assert [d for _, _, d in run.merged_deltas()] == clean
+
+
+# ----------------------------------------------------------------------
+# the modeled cost of durability
+# ----------------------------------------------------------------------
+def _star6_run(recorder_dir=None):
+    """The 6-way star, 4,000 arrivals per update, journaled into
+    ``recorder_dir`` when given: deltas, virtual us/update, recorder."""
+    session = Session.adaptive(
+        fig9_workload(6, window=48), bench_engine_config()
+    )
+    recorder = None
+    if recorder_dir is not None:
+        recorder = Recorder(
+            session.plan,
+            RecoveryConfig(
+                wal_dir=recorder_dir,
+                checkpoint_interval=1000,
+                fsync_every=64,
+            ),
+        )
+    deltas = drive(
+        session.plan, session.workload.updates(4_000), recorder=recorder
+    )
+    metrics = session.ctx.metrics
+    return deltas, session.ctx.clock.now_us / metrics.updates_processed, recorder
+
+
+def test_journaling_overhead_stays_within_ten_percent(tmp_path):
+    """WAL appends, fsync batches of 64 and a checkpoint every 1,000
+    updates cost at most 10% of the unjournaled virtual us/update (2.0%
+    when this bound was set) and change no delta."""
+    plain, plain_us, _ = _star6_run()
+    journaled, journaled_us, recorder = _star6_run(str(tmp_path))
+    assert recorder.checkpoints > 0 and recorder.wal.fsyncs > 0, (
+        "nothing was checkpointed or fsynced: the bound would be vacuous"
+    )
+    assert plain and journaled == plain
+    assert plain_us < journaled_us <= 1.10 * plain_us
 
 
 # ----------------------------------------------------------------------

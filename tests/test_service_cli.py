@@ -1,7 +1,6 @@
-"""The service's CLI surface: ``serve``, ``chaos service``, ``bench --service``.
+"""The service's CLI surface: ``serve`` and ``chaos service``.
 
-The long-running paths (a full chaos storm, the three-scenario bench)
-have their own coverage via the library entry points; here the focus is
+The long-running path (a full chaos storm) has its own coverage via the library entry points; here the focus is
 the command-line contract — clean ``error:`` lines, exit codes, and the
 signal-driven drain of ``repro serve``.
 """
@@ -70,19 +69,6 @@ def test_serve_drains_cleanly_on_sigint(tmp_path):
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
-
-
-def test_bench_service_validates_batch_floor(capsys):
-    assert main(["bench", "--service", "--batches", "3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "batches" in err
-
-
-def test_bench_service_out_path_must_be_writable():
-    # _ensure_writable fails fast, before the (minutes-long) bench runs.
-    with pytest.raises(SystemExit, match="cannot write"):
-        main(["bench", "--service", "--out", "/nonexistent-dir/x.json"])
 
 
 def test_chaos_service_jsonl_path_must_be_writable():

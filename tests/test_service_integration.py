@@ -231,6 +231,39 @@ def test_degradation_ladder_recovers_after_burst():
         thread.stop()
 
 
+def test_admission_turns_excess_away_and_keeps_every_acked_update():
+    """Offered load past the tenant's token bucket: the excess gets an
+    ``admission`` 429 (the queue has room throughout), the rejections
+    are the admission controller's, and every 202'd update is
+    processed and returned."""
+    config = ServiceConfig(
+        # 30 tokens buy ten triples; refilling one triple takes 30 s.
+        tenant_rate=0.1, tenant_burst=30.0, queue_capacity_updates=2048,
+    )
+    thread = ServiceThread(config)
+    thread.start()
+    try:
+        client = ServiceClient(thread.base_url)
+        client.register("q", CHAIN)
+        acked_last, rejected = -1, 0
+        for i in range(15):
+            status, payload = client.ingest("q", _triple(i), retry=False)
+            if status == 202:
+                acked_last = payload["seq_last"]
+            else:
+                assert (status, payload["error"]) == (429, "admission")
+                rejected += 1
+        assert acked_last == 29 and rejected == 5
+        _wait_processed(client, "q", acked_last)
+        status = client.status("q")
+        assert status["admission"]["rejections"] == rejected
+        assert status["tier"] == "normal"
+        results = client.results("q", limit=100)
+        assert [e["seq"] for e in results["entries"]] == list(range(30))
+    finally:
+        thread.stop()
+
+
 # ----------------------------------------------------------------------
 # Subscriptions
 # ----------------------------------------------------------------------
