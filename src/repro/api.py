@@ -56,147 +56,28 @@ WorkloadLike = Union[Workload, Callable[[], Workload]]
 
 
 @dataclass(frozen=True)
-class ShardingConfig:
-    """How a session's runs are partitioned — the nested home of the
-    former flat ``shards``/``parallel_backend``/``supervision`` knobs.
-
-    ``coordinate`` joins adaptive sharded runs to the global adaptivity
-    plane (:mod:`repro.parallel.adaptivity`): shards exchange profiler
-    snapshots for one coordinator-decided cache plan every
-    ``sync_every_updates`` positions of the global stream, so the
-    sharded run selects the same caches a serial run would. It is on by
-    default and ignored by non-adaptive engines and unsharded runs.
-    """
-
-    shards: int = 1
-    backend: str = "serial"
-    supervision: Optional[object] = None     # SupervisionConfig
-    coordinate: bool = True
-    sync_every_updates: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigError(
-                f"sharding.shards must be >= 1, got {self.shards}"
-            )
-        if self.backend not in PARALLEL_BACKENDS:
-            raise ConfigError(
-                f"sharding.backend must be one of {PARALLEL_BACKENDS}, "
-                f"got {self.backend!r}"
-            )
-        if self.sync_every_updates < 1:
-            raise ConfigError(
-                "sharding.sync_every_updates must be >= 1, got "
-                f"{self.sync_every_updates}"
-            )
-
-
-@dataclass(frozen=True)
-class DurabilityConfig:
-    """Journaling knobs — the nested home of ``wal_dir``/
-    ``checkpoint_interval``/``wal_fsync_every``/``cache_recovery``."""
-
-    wal_dir: Optional[str] = None
-    checkpoint_interval: int = 1000
-    fsync_every: int = 64
-    cache_recovery: str = "snapshot"         # or "rebuild" (drop caches)
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
-            raise ConfigError(
-                "durability.checkpoint_interval must be >= 1, got "
-                f"{self.checkpoint_interval}"
-            )
-        if self.fsync_every < 1:
-            raise ConfigError(
-                "durability.fsync_every must be >= 1, got "
-                f"{self.fsync_every}"
-            )
-        if self.cache_recovery not in ("snapshot", "rebuild"):
-            raise ConfigError(
-                "durability.cache_recovery must be 'snapshot' or "
-                f"'rebuild', got {self.cache_recovery!r}"
-            )
-
-
-@dataclass(frozen=True)
-class TenancyConfig:
-    """Multi-query reservation bounds — the nested home of
-    ``tenant_min_bytes``/``tenant_max_bytes``/``share_caches``."""
-
-    min_bytes: int = 0
-    max_bytes: Optional[int] = None
-    share_caches: bool = True
-
-    def __post_init__(self) -> None:
-        if self.min_bytes < 0:
-            raise ConfigError(
-                f"tenancy.min_bytes must be >= 0, got {self.min_bytes}"
-            )
-        if self.max_bytes is not None and self.max_bytes < self.min_bytes:
-            raise ConfigError(
-                "tenancy.max_bytes must be >= tenancy.min_bytes "
-                f"({self.max_bytes} < {self.min_bytes})"
-            )
-
-
-# flat attribute -> (nested group, nested field, flat default); the
-# back-compat bridge: flat keywords still work alone, the nested configs
-# are authoritative, and mixing both forms for one group is an error
-# naming the new path.
-_NESTED_GROUPS = {
-    "sharding": (
-        ShardingConfig,
-        (
-            ("shards", "shards", 1),
-            ("parallel_backend", "backend", "serial"),
-            ("supervision", "supervision", None),
-        ),
-    ),
-    "durability": (
-        DurabilityConfig,
-        (
-            ("wal_dir", "wal_dir", None),
-            ("checkpoint_interval", "checkpoint_interval", 1000),
-            ("wal_fsync_every", "fsync_every", 64),
-            ("cache_recovery", "cache_recovery", "snapshot"),
-        ),
-    ),
-    "tenancy": (
-        TenancyConfig,
-        (
-            ("tenant_min_bytes", "min_bytes", 0),
-            ("tenant_max_bytes", "max_bytes", None),
-            ("share_caches", "share_caches", True),
-        ),
-    ),
-}
-
-
-@dataclass(frozen=True)
 class EngineConfig:
-    """Every engine-construction knob in one picklable value.
+    """Every engine-construction knob in one picklable value, each with
+    exactly one spelling.
 
     ``orders``/``candidate_ids``/``global_quota``/``buckets`` configure
     the plan; ``batch_size`` selects micro-batched execution (1 = the
     per-update hot path, byte-identical results either way);
-    ``resilience`` wires the graceful-degradation controller; ``shards``
-    and ``parallel_backend`` select partitioned execution; the ``obs_*``
-    sinks capture a structured trace / metrics dump of the session's
-    runs; ``tuning`` overrides the adaptive engine's full tunable set
-    (profiler, re-optimizer, ordering) — when set, it wins over
-    ``global_quota`` and ``resilience`` only where it explicitly
+    ``resilience`` wires the graceful-degradation controller into static
+    and adaptive engines alike; ``shards`` and ``parallel_backend``
+    select partitioned execution (adaptive sharded runs coordinate their
+    cache plans every 2,000 global positions, the
+    :class:`~repro.parallel.adaptivity.AdaptivityConfig` default); the
+    ``obs_*`` sinks capture a structured trace / metrics dump of the
+    session's runs; ``tuning`` overrides the adaptive engine's full
+    tunable set (profiler, re-optimizer, ordering) — when set, it wins
+    over ``global_quota`` and ``resilience`` only where it explicitly
     configures them; ``wal_dir``/``checkpoint_interval``/
     ``wal_fsync_every``/``cache_recovery`` journal runs for crash
-    recovery, and ``supervision`` runs shards under the restarting
-    supervisor.
-
-    The sharding, durability, and tenancy knobs also have nested
-    spellings — :class:`ShardingConfig`, :class:`DurabilityConfig`,
-    :class:`TenancyConfig` — which are the preferred form and the only
-    home of the newer knobs (e.g. ``sharding.coordinate``). The flat
-    keywords remain accepted for compatibility; after construction both
-    forms are populated and coherent.
+    recovery; ``supervision`` runs shards under the restarting
+    supervisor; the ``tenant_*``/``share_caches`` knobs only matter to
+    :class:`~repro.multi.engine.MultiQueryEngine`. Derive variants with
+    :func:`dataclasses.replace`.
     """
 
     orders: Optional[Dict[str, Tuple[str, ...]]] = None
@@ -236,45 +117,45 @@ class EngineConfig:
     tenant_min_bytes: int = 0
     tenant_max_bytes: Optional[int] = None
     share_caches: bool = True
-    # Load-shedder trigger clock: when True, the shedder measures real
-    # elapsed time per update instead of the virtual clock. Live services
-    # want this (virtual cost can look fine while the machine drowns);
-    # reproducibility suites must not (wall-clock shedding is
-    # nondeterministic, so batch-equivalence and recovery byte-identity
-    # only hold with the default False).
-    shed_wall_clock: bool = False
-    # Nested config groups — the preferred spelling of the flat knobs
-    # above. After construction these are always populated (synthesized
-    # from the flat keywords when not given) and the flat attributes
-    # always mirror them, so both access forms stay coherent. Passing a
-    # nested group AND a non-default flat knob of the same group is a
-    # ConfigError naming the nested path.
-    sharding: Optional[ShardingConfig] = None
-    durability: Optional[DurabilityConfig] = None
-    tenancy: Optional[TenancyConfig] = None
 
     def __post_init__(self) -> None:
-        self._reconcile_nested()
         if self.batch_size < 1:
             raise PlanError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        if self.shed_wall_clock:
-            resilience = (
-                self.resilience if self.resilience is not None
-                else ResilienceConfig()
+        if self.shards < 1:
+            raise PlanError(f"shards must be >= 1, got {self.shards}")
+        if self.parallel_backend not in PARALLEL_BACKENDS:
+            raise PlanError(
+                f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
+                f"got {self.parallel_backend!r}"
             )
-            if resilience.shedding is None:
-                raise ConfigError(
-                    "shed_wall_clock requires shedding enabled; the "
-                    "resilience config has shedding=None"
-                )
-            if not resilience.shedding.wall_clock:
-                resilience = replace(
-                    resilience,
-                    shedding=replace(resilience.shedding, wall_clock=True),
-                )
-            object.__setattr__(self, "resilience", resilience)
+        if self.checkpoint_interval < 1:
+            raise ConfigError(
+                "checkpoint_interval must be >= 1, got "
+                f"{self.checkpoint_interval}"
+            )
+        if self.wal_fsync_every < 1:
+            raise ConfigError(
+                f"wal_fsync_every must be >= 1, got {self.wal_fsync_every}"
+            )
+        if self.cache_recovery not in ("snapshot", "rebuild"):
+            raise ConfigError(
+                "cache_recovery must be 'snapshot' or 'rebuild', got "
+                f"{self.cache_recovery!r}"
+            )
+        if self.tenant_min_bytes < 0:
+            raise ConfigError(
+                f"tenant_min_bytes must be >= 0, got {self.tenant_min_bytes}"
+            )
+        if (
+            self.tenant_max_bytes is not None
+            and self.tenant_max_bytes < self.tenant_min_bytes
+        ):
+            raise ConfigError(
+                "tenant_max_bytes must be >= tenant_min_bytes "
+                f"({self.tenant_max_bytes} < {self.tenant_min_bytes})"
+            )
         object.__setattr__(
             self, "candidate_ids", tuple(self.candidate_ids)
         )
@@ -284,90 +165,6 @@ class EngineConfig:
                 "orders",
                 {k: tuple(v) for k, v in self.orders.items()},
             )
-
-    def _reconcile_nested(self) -> None:
-        """Bridge the flat knobs and the nested config groups.
-
-        Exactly one spelling per group may deviate from the defaults;
-        afterwards the nested config is authoritative and the flat
-        attributes mirror it (so seed-era readers like
-        ``config.shards`` keep working unchanged).
-        """
-        for group_name, (cls, fields) in _NESTED_GROUPS.items():
-            nested = getattr(self, group_name)
-            if nested is not None:
-                # A flat knob may only deviate from its default when it
-                # agrees with the nested value — that tolerance is what
-                # keeps dataclasses.replace() (which re-passes the flat
-                # mirrors) working on already-reconciled configs.
-                conflicting = [
-                    flat
-                    for flat, nested_field, default in fields
-                    if getattr(self, flat) != default
-                    and getattr(self, flat) != getattr(nested, nested_field)
-                ]
-                if conflicting:
-                    raise ConfigError(
-                        f"{', '.join(conflicting)} moved into "
-                        f"{cls.__name__} — pass EngineConfig("
-                        f"{group_name}={cls.__name__}(...)) and drop "
-                        f"the flat keyword(s)"
-                    )
-            else:
-                self._validate_flat(group_name)
-                nested = cls(
-                    **{
-                        nested_field: getattr(self, flat)
-                        for flat, nested_field, _default in fields
-                    }
-                )
-                object.__setattr__(self, group_name, nested)
-            for flat, nested_field, _default in fields:
-                object.__setattr__(
-                    self, flat, getattr(nested, nested_field)
-                )
-
-    def _validate_flat(self, group: str) -> None:
-        """Seed-era validation messages for the flat spellings (the
-        nested configs re-check with their own field names)."""
-        if group == "sharding":
-            if self.shards < 1:
-                raise PlanError(f"shards must be >= 1, got {self.shards}")
-            if self.parallel_backend not in PARALLEL_BACKENDS:
-                raise PlanError(
-                    f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
-                    f"got {self.parallel_backend!r}"
-                )
-        elif group == "durability":
-            if self.checkpoint_interval < 1:
-                raise ConfigError(
-                    "checkpoint_interval must be >= 1, got "
-                    f"{self.checkpoint_interval}"
-                )
-            if self.wal_fsync_every < 1:
-                raise ConfigError(
-                    "wal_fsync_every must be >= 1, got "
-                    f"{self.wal_fsync_every}"
-                )
-            if self.cache_recovery not in ("snapshot", "rebuild"):
-                raise ConfigError(
-                    "cache_recovery must be 'snapshot' or 'rebuild', got "
-                    f"{self.cache_recovery!r}"
-                )
-        elif group == "tenancy":
-            if self.tenant_min_bytes < 0:
-                raise ConfigError(
-                    "tenant_min_bytes must be >= 0, got "
-                    f"{self.tenant_min_bytes}"
-                )
-            if (
-                self.tenant_max_bytes is not None
-                and self.tenant_max_bytes < self.tenant_min_bytes
-            ):
-                raise ConfigError(
-                    "tenant_max_bytes must be >= tenant_min_bytes "
-                    f"({self.tenant_max_bytes} < {self.tenant_min_bytes})"
-                )
 
     # ------------------------------------------------------------------
     # derived configurations
@@ -412,7 +209,8 @@ class EngineConfig:
         )
 
     def engine_spec(self, kind: str = "adaptive", tree=None):
-        """A picklable :class:`~repro.parallel.spec.EngineSpec`.
+        """A picklable :class:`~repro.parallel.spec.EngineSpec` carrying
+        this config.
 
         Accepts the Session kinds (``static``/``adaptive``) plus the
         lower-level ``mjoin``/``xjoin`` spec kinds.
@@ -421,20 +219,7 @@ class EngineConfig:
 
         if kind == "adaptive":
             kind = "acaching"
-        if kind == "acaching":
-            return EngineSpec(
-                kind="acaching",
-                config=self.acaching_config(),
-                orders=self.orders,
-            )
-        if kind == "static":
-            return EngineSpec(
-                kind="static",
-                orders=self.orders,
-                candidate_ids=self.candidate_ids,
-                buckets=self.buckets,
-            )
-        return EngineSpec(kind=kind, orders=self.orders, tree=tree)
+        return EngineSpec(kind=kind, config=self, tree=tree)
 
 
 def build_static_plan(workload: Workload, config: Optional[EngineConfig] = None):
@@ -757,24 +542,14 @@ class Session:
 
         measurement.setdefault("collect_obs", self._wants_obs())
         measurement.setdefault("profile", self._wants_profiler())
-        sharding = self.config.sharding
-        if (
-            self.kind == "adaptive"
-            and sharding.shards > 1
-            and sharding.coordinate
-        ):
+        if self.kind == "adaptive" and self.config.shards > 1:
             # Global adaptivity plane: one coordinator-decided cache plan
             # per epoch instead of per-shard local re-optimization.
             # Callers that cannot host the barrier protocol (the lockstep
             # series driver) pass adaptivity=None explicitly.
             from repro.parallel.adaptivity import AdaptivityConfig
 
-            measurement.setdefault(
-                "adaptivity",
-                AdaptivityConfig(
-                    sync_every_updates=sharding.sync_every_updates
-                ),
-            )
+            measurement.setdefault("adaptivity", AdaptivityConfig())
         return ExperimentSpec(
             workload_factory=self._require_factory(),
             arrivals=arrivals,
@@ -789,8 +564,8 @@ class Session:
         """Run as the config directs; returns the structured run.
 
         The structured counterpart of :meth:`run`: same dispatch on the
-        config's :class:`ShardingConfig` (shard count, backend,
-        supervision, adaptivity coordination), but returning the
+        config's shard count, backend and supervision (adaptive sharded
+        runs coordinate their cache plans), but returning the
         :class:`~repro.parallel.engine.ParallelRun` (with its workers'
         ``restarts``/``fallbacks``/``decisions``) instead of the
         flattened delta list. A ``supervision`` policy runs workers at
@@ -904,110 +679,3 @@ class Session:
             f"Session({self.kind}, batch_size={self.config.batch_size}, "
             f"shards={self.config.shards})"
         )
-
-
-class MultiSession:
-    """N continuous queries on one shared engine (see :mod:`repro.multi`).
-
-    Streams are ingested once; prefix-invariant caches whose segment join
-    provably matches across queries share one physical store; one global
-    memory budget is arbitrated across tenants by net benefit per byte
-    under each tenant's ``tenant_min_bytes``/``tenant_max_bytes``
-    reservation. Queries are added and removed at update boundaries
-    without restarting the engine.
-
-    >>> ms = MultiSession(budget_bytes=1 << 20)
-    >>> ms.register("alerts", workload)
-    >>> ms.register("audit", workload, EngineConfig(tenant_min_bytes=4096))
-    >>> per_query = ms.run(arrivals=50_000)
-    >>> ms.unregister("audit")
-
-    Per-query output deltas are byte-identical to the same query running
-    alone on its own engine; sharing only changes memory and modeled
-    cost.
-    """
-
-    def __init__(
-        self,
-        budget_bytes: Optional[int] = None,
-        share_caches: bool = True,
-        memory_check_every_updates: int = 500,
-        tracing: bool = False,
-    ):
-        from repro.multi.engine import MultiQueryEngine
-
-        self.engine = MultiQueryEngine(
-            budget_bytes=budget_bytes,
-            share_caches=share_caches,
-            memory_check_every_updates=memory_check_every_updates,
-            tracing=tracing,
-        )
-        self._workloads: Dict[str, Workload] = {}
-
-    def register(
-        self,
-        query_id: str,
-        workload: WorkloadLike,
-        config: Optional[EngineConfig] = None,
-    ) -> None:
-        """Splice a query in at an update boundary (warm from shared
-        windows). Rejects configs incompatible with shared execution
-        (micro-batching, sharding, resilience, per-tenant WAL)."""
-        instance = workload() if callable(workload) else workload
-        self.engine.register(query_id, instance, config)
-        self._workloads[query_id] = instance
-
-    def unregister(self, query_id: str) -> None:
-        """Remove a query; keeps every cache byte a survivor references."""
-        self.engine.unregister(query_id)
-        self._workloads.pop(query_id, None)
-
-    def queries(self) -> List[str]:
-        return self.engine.queries()
-
-    def process(self, update: Update) -> Dict[str, List[OutputDelta]]:
-        """One shared-stream update through every interested query."""
-        return self.engine.process(update)
-
-    def run(
-        self,
-        updates: Optional[Iterable[Update]] = None,
-        arrivals: Optional[int] = None,
-        workload: Optional[Workload] = None,
-    ) -> Dict[str, List[OutputDelta]]:
-        """Drive an update sequence; returns per-query delta lists.
-
-        With ``arrivals`` the stream is drawn from ``workload`` (or, when
-        every registered query shares one workload, from that workload).
-        """
-        if updates is None:
-            if arrivals is None:
-                raise PlanError("run() needs either updates or arrivals")
-            if workload is None:
-                distinct = {id(w): w for w in self._workloads.values()}
-                if len(distinct) != 1:
-                    raise PlanError(
-                        "run(arrivals=...) needs an explicit workload when "
-                        "registered queries use different workloads"
-                    )
-                workload = next(iter(distinct.values()))
-            updates = workload.updates(arrivals)
-        return self.engine.run(updates)
-
-    # ------------------------------------------------------------------
-    # introspection / observability
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Engine-level state: streams, bytes, shared stores, arbiter."""
-        return self.engine.snapshot()
-
-    def decisions(self) -> List[Dict[str, object]]:
-        """All tenants' adaptivity decisions, merged, ``query_id``-tagged."""
-        return self.engine.decisions()
-
-    def metrics_prometheus(self) -> str:
-        """Merged exposition; every sample labeled with its query_id."""
-        return self.engine.metrics_prometheus()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MultiSession(queries={self.engine.queries()})"

@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.api import (
     EngineConfig,
     Session,
-    ShardingConfig,
     build_adaptive_engine,
     build_static_plan,
 )
@@ -61,9 +60,8 @@ def _static_rate_sharded(
         EngineConfig(
             orders=CHAIN_ORDERS,
             candidate_ids=candidate_ids,
-            sharding=ShardingConfig(
-                shards=parallel.shards, backend=parallel.backend
-            ),
+            shards=parallel.shards,
+            parallel_backend=parallel.backend,
         ),
     )
     stats = session.execute(arrivals).stats

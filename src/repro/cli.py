@@ -175,20 +175,29 @@ def _run_fig13(
     return "\n".join(lines)
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> List[tuple]:
+    """``(name, help)`` of every subcommand registered on ``parser``."""
+    (action,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return [(choice.dest, choice.help) for choice in action._choices_actions]
+
+
 def cmd_list(_args: argparse.Namespace) -> str:
-    """``list``: enumerate the available experiments."""
-    lines = ["available experiments:"]
+    """``list``: every subcommand ``build_parser`` registers, then the
+    experiments the ``figure``, ``spectrum`` and ``profile`` commands
+    accept."""
+    lines = ["commands:"]
+    for name, help_text in _subcommands(build_parser()):
+        lines.append(f"  {name:<9} {help_text}")
+    lines.append("figures (figure NAME):")
     for name, blurb in FIGURES.items():
-        lines.append(f"  figure {name:<6} {blurb}")
-    lines.append("  spectrum D1..D8   M/X/P/G comparison at a Table 2 point")
-    lines.append("  table2            print the Table 2 parameters")
-    lines.append("  demo              quick adaptive-vs-MJoin demonstration")
-    lines.append("  chaos EXP         run an experiment under fault injection")
-    lines.append("  chaos EXP --crash kill a journaled run, recover, verify")
-    lines.append("  recover DIR       restore a crashed --crash journal")
+        lines.append(f"  {name:<9} {blurb}")
+    lines.append("spectrum points: D1..D8")
     lines.append(
-        "  profile EXP       span-profile one experiment "
-        f"({', '.join(sorted(PROFILE_EXPERIMENTS))})"
+        f"profile experiments: {', '.join(sorted(PROFILE_EXPERIMENTS))}"
     )
     return "\n".join(lines)
 
@@ -558,7 +567,7 @@ def cmd_profile(args: argparse.Namespace) -> str:
     """
     import time as _time
 
-    from repro.api import EngineConfig, Session, ShardingConfig
+    from repro.api import EngineConfig, Session
     from repro.obs.profile import write_pstats
 
     _check_arrivals(args)
@@ -572,9 +581,8 @@ def cmd_profile(args: argparse.Namespace) -> str:
     config = EngineConfig(
         profile=True,
         batch_size=args.batch_size,
-        sharding=ShardingConfig(
-            shards=parallel.shards, backend=parallel.backend
-        ),
+        shards=parallel.shards,
+        parallel_backend=parallel.backend,
         tuning=_profile_tuning(),
         obs_flame=args.flame,
         obs_metrics_prom=args.prometheus,
@@ -703,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments").set_defaults(
+    sub.add_parser("list", help="list commands and experiments").set_defaults(
         handler=cmd_list
     )
 

@@ -16,10 +16,8 @@ call-path table (the flamegraph ``a;b;c self_ns`` format) and per-name
 p50/p95/p99 are read without storing observations.
 
 The disabled path is a single attribute check against the slotted
-:data:`NULL_PROFILER` singleton — the same pattern as ``NULL_TRACER`` —
-and :func:`noop_overhead_ns` measures exactly that guard's cost, which
-:func:`disabled_overhead_fraction` turns into a share of a run's wall
-time.
+:data:`NULL_PROFILER` singleton — the same pattern as ``NULL_TRACER``;
+its cost is inside every wall-clock reading of the benchmark ledger.
 """
 
 from __future__ import annotations
@@ -347,49 +345,3 @@ def write_pstats(path: str, snapshot: ProfileSnapshot) -> None:
     """Write a ``pstats``-loadable profile dump to ``path``."""
     with open(path, "wb") as handle:
         handle.write(snapshot_to_pstats_bytes(snapshot))
-
-
-# ----------------------------------------------------------------------
-# the disabled-path overhead budget
-# ----------------------------------------------------------------------
-def noop_overhead_ns(iterations: int = 200_000) -> float:
-    """Measured wall cost of one *disabled* begin/end guard pair, in ns.
-
-    Times the exact hot-path pattern — two ``if prof.enabled:`` checks
-    against :data:`NULL_PROFILER` — minus the bare loop, so the result is
-    the marginal cost one instrumented span adds to an unprofiled run.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    prof = NULL_PROFILER
-    timer = time.perf_counter_ns
-    started = timer()
-    for _ in range(iterations):
-        if prof.enabled:
-            prof.begin("x", 0.0)
-        if prof.enabled:
-            prof.end(0.0)
-    guarded = timer() - started
-    started = timer()
-    for _ in range(iterations):
-        pass
-    bare = timer() - started
-    return max(0.0, (guarded - bare) / iterations)
-
-
-def disabled_overhead_fraction(
-    crossings: int,
-    baseline_wall_seconds: float,
-    per_pair_ns: Optional[float] = None,
-) -> float:
-    """Fraction of a run's wall time the disabled guards cost.
-
-    ``crossings`` is how many spans an *enabled* run of the same work
-    records (the guard count is identical either way);
-    ``baseline_wall_seconds`` is the unprofiled run's wall time.
-    """
-    if baseline_wall_seconds <= 0:
-        return 0.0
-    if per_pair_ns is None:
-        per_pair_ns = noop_overhead_ns()
-    return (crossings * per_pair_ns) / (baseline_wall_seconds * 1e9)

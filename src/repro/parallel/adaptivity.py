@@ -216,9 +216,7 @@ class EpochCoordinator:
                 "coordinated adaptivity requires an acaching engine, "
                 f"got kind {engine.kind!r}"
             )
-        from repro.core.acaching import ACachingConfig
-
-        config = engine.config if engine.config is not None else ACachingConfig()
+        config = engine.config.acaching_config()
         self.profiler_config = config.profiler
         self.reopt_config = config.reoptimizer
         self.graph = spec.workload_factory().graph

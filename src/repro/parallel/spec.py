@@ -13,61 +13,59 @@ bit-equivalent to the serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ParallelError
 from repro.faults.plan import FaultSpec
 from repro.parallel.adaptivity import AdaptivityConfig
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.api import EngineConfig
 
 
 @dataclass(frozen=True)
 class EngineSpec:
     """Which plan a shard runs; ``build`` constructs it for a workload.
 
-    Kinds:
+    ``config`` is the :class:`~repro.api.EngineConfig` the plan is built
+    from (None = its defaults); derive specs with
+    :meth:`~repro.api.EngineConfig.engine_spec`. Kinds:
 
-    * ``"acaching"`` — the full adaptive engine (:class:`ACaching`),
-      configured by ``config`` (None = defaults). Resilience rides inside
-      the config.
-    * ``"static"`` — an MJoin with a fixed cache set (what
+    * ``"acaching"`` — the full adaptive engine, built by
+      :func:`repro.api.build_adaptive_engine`.
+    * ``"static"`` — an MJoin with a fixed cache set, built by
+      :func:`repro.api.build_static_plan` (what
       :meth:`repro.api.Session.static` builds).
     * ``"mjoin"`` — a bare, policy-free :class:`MJoinExecutor`.
     * ``"xjoin"`` — an :class:`XJoinExecutor` over ``tree``.
     """
 
     kind: str = "acaching"
-    config: Optional[object] = None            # ACachingConfig
-    orders: Optional[Dict[str, Tuple[str, ...]]] = None
-    candidate_ids: Tuple[str, ...] = ()
-    buckets: int = 512
+    config: Optional[EngineConfig] = None
     tree: Optional[object] = None              # xjoin JoinTree
+
+    def __post_init__(self) -> None:
+        if self.config is None:
+            from repro.api import EngineConfig
+
+            object.__setattr__(self, "config", EngineConfig())
 
     def build(self, workload):
         """Construct the plan this spec describes for ``workload``."""
         if self.kind == "acaching":
-            from repro.core.acaching import ACaching
+            from repro.api import build_adaptive_engine
 
-            return ACaching(
-                workload.graph,
-                orders=self.orders,
-                indexed_attributes=workload.indexed_attributes,
-                config=self.config,
-            )
+            return build_adaptive_engine(workload, self.config)
         if self.kind == "static":
-            from repro.engine.runtime import _build_static_plan
+            from repro.api import build_static_plan
 
-            return _build_static_plan(
-                workload,
-                orders=self.orders,
-                candidate_ids=self.candidate_ids,
-                buckets=self.buckets,
-            )
+            return build_static_plan(workload, self.config)
         if self.kind == "mjoin":
             from repro.mjoin.executor import MJoinExecutor
 
             return MJoinExecutor(
                 workload.graph,
-                orders=self.orders,
+                orders=self.config.orders,
                 indexed_attributes=workload.indexed_attributes,
             )
         if self.kind == "xjoin":

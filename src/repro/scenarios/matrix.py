@@ -33,12 +33,13 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api import EngineConfig, MultiSession
+from repro.api import EngineConfig
 from repro.errors import ScenarioError
 from repro.faults.chaos import _build_workload, _chaos_config, resolve_experiment
 from repro.faults.crashes import run_crash_chaos
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.resilience import ResilienceConfig
+from repro.multi.engine import MultiQueryEngine
 from repro.parallel.engine import ParallelConfig, output_chronology, run_sharded
 from repro.parallel.spec import ExperimentSpec
 from repro.parallel.supervisor import Supervisor, WorkerCrash
@@ -144,13 +145,13 @@ def _injected_counts(
 
 def _multi_chronology(factory, total: int) -> List[Tuple[int, tuple]]:
     """The clean chronology through the multi-query engine."""
-    session = MultiSession()
-    session.register(
+    engine = MultiQueryEngine()
+    engine.register(
         "q", factory(), EngineConfig(tuning=_chaos_config(None))
     )
     groups: Dict[int, List[tuple]] = {}
     for update in factory().updates(total):
-        deltas = session.process(update).get("q", [])
+        deltas = engine.process(update).get("q", [])
         for delta in deltas:
             groups.setdefault(update.seq, []).append(canonical_delta(delta))
     return [(seq, tuple(sorted(groups[seq]))) for seq in sorted(groups)]

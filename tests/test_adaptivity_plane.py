@@ -68,7 +68,7 @@ def _spec(arrivals, relations=4, **overrides):
     base = dict(
         workload_factory=partial(fig9_workload, relations, window=48),
         arrivals=arrivals,
-        engine=EngineSpec(kind="acaching", config=_config()),
+        engine=EngineConfig(tuning=_config()).engine_spec("adaptive"),
         adaptivity=AdaptivityConfig(sync_every_updates=SYNC),
     )
     base.update(overrides)

@@ -6,6 +6,7 @@ point — and building through the facade must not warn.
 """
 
 import warnings
+from functools import partial
 
 import pytest
 
@@ -16,10 +17,16 @@ from repro.api import (
     build_static_plan,
 )
 from repro.core.acaching import ACaching
+from repro.engine.drive import drive as drive_updates
 from repro.engine.runtime import _build_static_plan
 from repro.errors import PlanError
+from repro.faults import FaultPlan, FaultSpec, ResilienceConfig
 from repro.streams.events import DeltaBatch, Update, batched
-from repro.streams.workloads import fig9_workload, three_way_chain
+from repro.streams.workloads import (
+    fig9_workload,
+    fig10_workload,
+    three_way_chain,
+)
 
 CHAIN_ORDERS = {"T": ("S", "R"), "R": ("S", "T"), "S": ("R", "T")}
 
@@ -76,7 +83,7 @@ class TestEngineConfig:
         assert config.engine_spec("adaptive").kind == "acaching"
         static = config.engine_spec("static")
         assert static.kind == "static"
-        assert static.candidate_ids == ("T:0-1p",)
+        assert static.config.candidate_ids == ("T:0-1p",)
         assert config.engine_spec("mjoin").kind == "mjoin"
 
 
@@ -127,6 +134,48 @@ class TestSessionEqualsLegacy:
     def test_unknown_kind_rejected(self):
         with pytest.raises(PlanError):
             Session("turbo", chain())
+
+
+class TestExecuteBuildsTheSameEngine:
+    """``execute()`` builds its shards through the serial builders, so a
+    sharded or spec-built engine honours every knob ``run()`` does."""
+
+    FAULTS = FaultSpec(corrupt_prob=0.05, orphan_delete_prob=0.02)
+    FACTORY = partial(fig9_workload, 3, window=24)
+
+    def quarantined_in_process(self, config):
+        workload = self.FACTORY()
+        plan = build_static_plan(workload, config)
+        drive_updates(
+            plan,
+            FaultPlan(self.FAULTS, seed=3).updates(workload.updates(600)),
+        )
+        return plan.resilience.quarantined
+
+    def test_static_execute_honours_resilience(self):
+        config = EngineConfig(
+            resilience=ResilienceConfig(shedding=None, auditor=None)
+        )
+        expected = self.quarantined_in_process(config)
+        assert expected > 0, "vacuous: the fault plan injected nothing"
+        for kind in ("static", "adaptive"):
+            run = Session(kind, self.FACTORY, config).execute(
+                600,
+                fault_spec=self.FAULTS,
+                fault_seed=3,
+                output_mode="canonical",
+            )
+            assert run.stats.quarantined == expected, kind
+
+    def test_static_execute_honours_global_quota(self):
+        factory = partial(fig10_workload, 250)
+        config = EngineConfig(
+            orders=CHAIN_ORDERS, candidate_ids=("R:0-1g",), global_quota=0
+        )
+        with pytest.raises(PlanError):
+            build_static_plan(factory(), config)
+        with pytest.raises(PlanError):
+            Session.static(factory, config).execute(600)
 
 
 class TestDeprecationShims:

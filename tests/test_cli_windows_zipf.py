@@ -1,5 +1,7 @@
 """Tests for the CLI, time-based windows, and the Zipf generator."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -16,6 +18,21 @@ class TestCLI:
         assert main(["list"]) == 0
         output = capsys.readouterr().out
         assert "fig6" in output and "spectrum" in output
+
+    def test_list_names_every_registered_subcommand(self, capsys):
+        assert main(["list"]) == 0
+        listed = {
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        }
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) <= listed
+        assert {"serve", "trace"} <= listed
 
     def test_table2(self, capsys):
         assert main(["table2"]) == 0

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import EngineConfig, MultiSession, Session
+from repro.api import EngineConfig, Session
 from repro.core.acaching import ACachingConfig
 from repro.core.memory import CacheDemand, PAGE_BYTES
 from repro.core.reoptimizer import ReoptimizerConfig
@@ -370,28 +370,21 @@ class TestSharingGain:
 
 
 # ---------------------------------------------------------------------------
-# MultiSession facade
+# MultiQueryEngine as the public multi-query entry point
 # ---------------------------------------------------------------------------
 
 class TestMultiSession:
-    def test_run_infers_single_shared_workload(self):
-        session = MultiSession()
+    def test_register_run_snapshot_unregister(self):
+        engine = MultiQueryEngine()
         workload = STAR3()
-        session.register("q1", workload, TUNED)
-        session.register("q2", workload, TUNED)
-        outputs = session.run(arrivals=150)
+        engine.register("q1", workload, TUNED)
+        engine.register("q2", workload, TUNED)
+        outputs = engine.run(workload.updates(150))
         assert set(outputs) == {"q1", "q2"}
-        snapshot = session.snapshot()
+        snapshot = engine.snapshot()
         assert snapshot["queries"] == ["q1", "q2"]
-        session.unregister("q2")
-        assert session.queries() == ["q1"]
-
-    def test_run_with_distinct_workloads_needs_explicit_workload(self):
-        session = MultiSession()
-        session.register("q1", STAR3, TUNED)
-        session.register("q2", STAR3, TUNED)  # distinct instances
-        with pytest.raises(PlanError):
-            session.run(arrivals=50)
+        engine.unregister("q2")
+        assert engine.queries() == ["q1"]
 
     def test_tenancy_fields_validated(self):
         with pytest.raises(ConfigError):

@@ -20,8 +20,6 @@ from repro.obs.profile import (
     ProfileSnapshot,
     SpanAggregate,
     SpanProfiler,
-    disabled_overhead_fraction,
-    noop_overhead_ns,
     write_folded,
     write_pstats,
 )
@@ -127,16 +125,6 @@ def test_folded_and_pstats_exports(tmp_path):
     stats = pstats.Stats(str(pstats_path))
     names = {key[2] for key in stats.stats}
     assert {"run", "update:R", "op"} <= names
-
-
-def test_noop_overhead_is_tiny():
-    per_pair = noop_overhead_ns(50_000)
-    assert 0.0 <= per_pair < 1_000.0
-    # A realistic crossing count over a 1-second run stays far under 3%.
-    assert disabled_overhead_fraction(10_000, 1.0, per_pair_ns=per_pair) < 0.03
-    assert disabled_overhead_fraction(10_000, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        noop_overhead_ns(0)
 
 
 def test_profiling_does_not_perturb_the_run():

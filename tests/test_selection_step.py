@@ -23,6 +23,7 @@ from functools import partial
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.acaching import ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
@@ -33,7 +34,7 @@ from repro.parallel.adaptivity import (
     snapshot_from_plan,
 )
 from repro.parallel.engine import ParallelConfig, run_sharded
-from repro.parallel.spec import EngineSpec, ExperimentSpec
+from repro.parallel.spec import ExperimentSpec
 from repro.streams.workloads import fig9_workload
 
 SYNC = 200
@@ -53,7 +54,7 @@ def _spec(relations, arrivals, budget, **overrides):
     base = dict(
         workload_factory=partial(fig9_workload, relations, window=48),
         arrivals=arrivals,
-        engine=EngineSpec(kind="acaching", config=config),
+        engine=EngineConfig(tuning=config).engine_spec("adaptive"),
         adaptivity=AdaptivityConfig(sync_every_updates=SYNC),
     )
     base.update(overrides)

@@ -2,9 +2,10 @@
 
 * profiler spans close on exception paths (a poison update must not
   leave the span stack unbalanced for the rest of the process);
-* the wall-clock shedding trigger is opt-in via ``EngineConfig`` and
-  never on by default (virtual-clock shedding keeps batch equivalence
-  and recovery byte-identity deterministic — see docs/robustness.md);
+* the wall-clock shedding trigger is opt-in via
+  ``SheddingConfig(wall_clock=True)`` and never on by default
+  (virtual-clock shedding keeps batch equivalence and recovery
+  byte-identity deterministic — see docs/robustness.md);
 * dead-letter quarantine at capacity drops the oldest entry and logs
   that decision.
 """
@@ -12,8 +13,6 @@
 import pytest
 
 from repro import obs as obs_mod
-from repro.api import EngineConfig
-from repro.errors import ConfigError
 from repro.faults.guard import (
     DeadLetterBuffer,
     IngressGuard,
@@ -96,27 +95,9 @@ def test_xjoin_span_stack_balanced_when_propagation_raises():
 # ----------------------------------------------------------------------
 # Wall-clock shedding stays opt-in
 # ----------------------------------------------------------------------
-def test_shed_wall_clock_flag_threads_through_engine_config():
-    config = EngineConfig(shed_wall_clock=True)
-    assert config.resilience.shedding.wall_clock is True
-    # The default stays virtual — recovery byte-identity depends on it.
-    assert EngineConfig().shed_wall_clock is False
-    default_shedding = SheddingConfig()
-    assert default_shedding.wall_clock is False
-
-
-def test_shed_wall_clock_requires_shedding_enabled():
-    from repro.faults.resilience import ResilienceConfig
-
-    with pytest.raises(ConfigError) as err:
-        EngineConfig(
-            shed_wall_clock=True,
-            resilience=ResilienceConfig(shedding=None),
-        )
-    assert "shed_wall_clock" in str(err.value)
-
-
 def test_shedder_clock_source_follows_wall_clock_flag():
+    # The default stays virtual — recovery byte-identity depends on it.
+    assert SheddingConfig().wall_clock is False
     ctx = ExecContext()  # virtual clock parked at 0
     virtual = LoadShedder(SheddingConfig())
     wall = LoadShedder(SheddingConfig(wall_clock=True))
